@@ -1,5 +1,6 @@
-"""Local numerical-error estimators for the stencil log-density derivatives,
-and their propagation to a bound on the first-order correction.
+"""Local numerical-error estimators for the stencil log-density derivatives.
+The first-order solver in ``likelihood`` propagates them to a bound on the
+correction.
 
 Two local schemes:
 
@@ -10,7 +11,7 @@ Two local schemes:
 * ``subtraction``: rerun the inner solves with tolerances stretched by 1.1
   and take the absolute stencil difference.
 
-The propagated bound integrates the conservative system
+The propagation integrates the conservative system
 
     d err1/dt = | J_pf err1 | + (g^2/2) grad_local
     d err2/dt = | (g^2/2) err1 . grad(div s) | + (g^2/2) lap_local
@@ -26,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import Schedule
-from .score import score_div_derivatives
+from . import stencil
 
 # Constant multiplying the inner-solver error estimate in the floor terms.
 _ERR_CONST = 1.0
@@ -53,47 +53,14 @@ def local_err_model_from_derivs(grad_div_s: np.ndarray, lap_div_s: float,
     return LocalErr(grad_err=grad, lap_err=float(lap))
 
 
-def local_err_model(score, x: np.ndarray, t: float, stencil,
-                    logq_err: float) -> LocalErr:
-    """Model-based local errors from spatial derivatives of the score."""
-    _, grad_div_s, lap_div_s = score_div_derivatives(score, np.asarray(x, dtype=float),
-                                                     t, stencil.dx)
-    return local_err_model_from_derivs(grad_div_s, lap_div_s, stencil.dx, logq_err)
-
-
 def local_err_subtraction_from_values(vals_tight: np.ndarray, vals_loose: np.ndarray,
                                       dx: float) -> LocalErr:
     """Stencil-difference errors from paired (tight, loose) solve values
-    laid out as [center, +e1, -e1, +e2, -e2, ...]."""
+    on the star layout [center, +e1, -e1, +e2, -e2, ...] (``stencil.star``)."""
     vt = np.asarray(vals_tight, dtype=float)
     vl = np.asarray(vals_loose, dtype=float)
-    d = (vt.size - 1) // 2
-    grad_t = (vt[1::2] - vt[2::2]) / (2.0 * dx)
-    grad_l = (vl[1::2] - vl[2::2]) / (2.0 * dx)
-    lap_t = (vt[1:].sum() - 2 * d * vt[0]) / dx ** 2
-    lap_l = (vl[1:].sum() - 2 * d * vl[0]) / dx ** 2
+    grad_t = stencil.gradient(vt[1:], dx)
+    grad_l = stencil.gradient(vl[1:], dx)
+    lap_t = stencil.laplacian(vt[0], vt[1:], dx)
+    lap_l = stencil.laplacian(vl[0], vl[1:], dx)
     return LocalErr(grad_err=np.abs(grad_l - grad_t), lap_err=float(abs(lap_l - lap_t)))
-
-
-def local_err_subtraction(score, schedule: Schedule, x: np.ndarray, t: float,
-                          stencil, tol: float = 1e-5) -> LocalErr:
-    """Subtraction-based local errors: inner solves at tol and 1.1 * tol."""
-    from .likelihood import logq_pf_batch, _axis_offsets
-
-    x = np.asarray(x, dtype=float)
-    pts = np.vstack([x[None, :], x[None, :] + _axis_offsets(x.size, stencil.dx)])
-    tight = logq_pf_batch(score, schedule, pts, t, tol, stencil)
-    loose = logq_pf_batch(score, schedule, pts, t, 1.1 * tol, stencil)
-    return local_err_subtraction_from_values(tight, loose, stencil.dx)
-
-
-def propagate_error(score, schedule: Schedule, x0: np.ndarray, stencil=None,
-                    tol_outer: float = 1e-3, tol_inner: float = 1e-5,
-                    scheme: str = "model") -> float:
-    """Final propagated error bound for one data point."""
-    from .likelihood import nll_first_order
-
-    report = nll_first_order(score, schedule, np.asarray(x0, dtype=float), stencil,
-                             tol_outer=tol_outer, tol_inner=tol_inner,
-                             err_scheme=scheme)
-    return report.err_bound

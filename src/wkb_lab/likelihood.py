@@ -37,6 +37,7 @@ from .errors import WkbLabError
 from .ode import OdeProblem, solve_adaptive, solve_fixed_rk4
 from .schedule import Schedule
 from .score import score_batch, score_div_derivatives, score_jacobian
+from .stencil import divergence, gradient, laplacian, points, star
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -75,49 +76,20 @@ def prior_grad(x) -> np.ndarray:
     return -np.asarray(x, dtype=float)
 
 
-# -- generic central-difference stencils -------------------------------------
-
-def _axis_offsets(d: int, dx: float) -> np.ndarray:
-    offs = np.zeros((2 * d, d))
-    for i in range(d):
-        offs[2 * i, i] = dx
-        offs[2 * i + 1, i] = -dx
-    return offs
-
-
-def fd_gradient(f_batch, x: np.ndarray, dx: float) -> np.ndarray:
-    """Central-difference gradient of a batch-callable f: (m, d) -> (m,)."""
-    x = np.asarray(x, dtype=float)
-    vals = np.asarray(f_batch(x[None, :] + _axis_offsets(x.size, dx)))
-    return (vals[0::2] - vals[1::2]) / (2.0 * dx)
-
-
-def fd_laplacian(f_batch, x: np.ndarray, dx: float) -> float:
-    """Five-point (2d+1 point) Laplacian of a batch-callable f."""
-    x = np.asarray(x, dtype=float)
-    pts = np.vstack([x[None, :], x[None, :] + _axis_offsets(x.size, dx)])
-    vals = np.asarray(f_batch(pts))
-    return float((vals[1:].sum() - 2 * x.size * vals[0]) / dx ** 2)
-
-
 # -- zeroth order -------------------------------------------------------------
 
 def _pf_with_div_rhs(score, schedule: Schedule, m: int, dx: float):
     """RHS of the joint (state, divergence accumulator) system for m points."""
     d = schedule.dim
-    offs = _axis_offsets(d, dx)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         X = y[: m * d].reshape(m, d)
         a = schedule.drift_coef(t)
         gg = schedule.g2(t)
-        pts = np.concatenate([X, (X[:, None, :] + offs[None, :, :]).reshape(-1, d)])
+        pts = np.concatenate([X, points(X, dx).reshape(-1, d)])
         vals = score_batch(score, pts, t)
         s = vals[:m]
-        sv = vals[m:].reshape(m, 2 * d, d)
-        div_s = np.zeros(m)
-        for i in range(d):
-            div_s += (sv[:, 2 * i, i] - sv[:, 2 * i + 1, i]) / (2.0 * dx)
+        div_s = divergence(vals[m:].reshape(m, 2 * d, d), dx)
         fpf = a * X - 0.5 * gg * s
         dlog = d * a - 0.5 * gg * div_s
         return np.concatenate([fpf.ravel(), dlog])
@@ -151,22 +123,6 @@ def logq_pf(score, schedule: Schedule, x: np.ndarray, t_start: float,
                                t_start, tol, stencil)[0])
 
 
-def fd_grad_logq(score, schedule: Schedule, x: np.ndarray, t: float,
-                 stencil: FdStencil | None = None, tol: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of the zeroth-order log-likelihood."""
-    stencil = stencil or FdStencil()
-    return fd_gradient(lambda pts: logq_pf_batch(score, schedule, pts, t, tol, stencil),
-                       np.asarray(x, dtype=float), stencil.dx)
-
-
-def fd_lap_logq(score, schedule: Schedule, x: np.ndarray, t: float,
-                stencil: FdStencil | None = None, tol: float = 1e-5) -> float:
-    """Five-point Laplacian of the zeroth-order log-likelihood."""
-    stencil = stencil or FdStencil()
-    return fd_laplacian(lambda pts: logq_pf_batch(score, schedule, pts, t, tol, stencil),
-                        np.asarray(x, dtype=float), stencil.dx)
-
-
 # -- first order ---------------------------------------------------------------
 
 def _first_order_rhs(score, schedule: Schedule, stencil: FdStencil,
@@ -174,7 +130,6 @@ def _first_order_rhs(score, schedule: Schedule, stencil: FdStencil,
                      logq_err: float = 0.0):
     d = schedule.dim
     dx = stencil.dx
-    offs = _axis_offsets(d, dx)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         x = y[:d]
@@ -184,10 +139,10 @@ def _first_order_rhs(score, schedule: Schedule, stencil: FdStencil,
         gg = schedule.g2(t)
 
         # five zeroth-order solves (center + axis stencil), one joint system
-        pts5 = np.vstack([x[None, :], x[None, :] + offs])
+        pts5 = star(x, dx)
         logq5 = logq_pf_batch(score, schedule, pts5, t, tol_inner, stencil)
-        grad_logq = (logq5[1::2] - logq5[2::2]) / (2.0 * dx)
-        lap_logq = float((logq5[1:].sum() - 2 * d * logq5[0]) / dx ** 2)
+        grad_logq = gradient(logq5[1:], dx)
+        lap_logq = float(laplacian(logq5[0], logq5[1:], dx))
 
         s = score_batch(score, x[None, :], t)[0]
         jac = score_jacobian(score, x, t, dx)

@@ -13,7 +13,7 @@ term that the scheme induces:
     reverse-ito   right               +sum div f dt    0
 
 The drift divergence is analytic (d * a(t)); the score divergence uses the
-central-difference stencil policy shared with the likelihood module.
+central-difference stencils of the ``stencil`` module.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from .schedule import Schedule
 from .score import score_batch
+from . import stencil
 
 
 class DiscretizationScheme(str, enum.Enum):
@@ -117,16 +118,10 @@ def reverse_action(path: DiscretePath, schedule: Schedule, score,
     coef = _REVERSE_J[path.scheme]
     if coef:
         # div(f - g^2 s) per node; one batched stencil sweep over all nodes
-        offs = np.zeros((2 * d, d))
-        for i in range(d):
-            offs[2 * i, i] = dx
-            offs[2 * i + 1, i] = -dx
-        pts = (xs[:, None, :] + offs[None, :, :]).reshape(n * 2 * d, d)
+        pts = stencil.points(xs, dx).reshape(n * 2 * d, d)
         t_rep = np.repeat(ts, 2 * d)
         vals = score_batch(score, pts, t_rep).reshape(n, 2 * d, d)
-        div_s = np.zeros(n)
-        for i in range(d):
-            div_s += (vals[:, 2 * i, i] - vals[:, 2 * i + 1, i]) / (2.0 * dx)
+        div_s = stencil.divergence(vals, dx)
         div_nodes = d * a_nodes - g2_nodes * div_s
         action += coef * float(np.sum(_per_interval(div_nodes, path.scheme) * np.diff(ts)))
     return action

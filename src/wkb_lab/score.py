@@ -23,6 +23,7 @@ from scipy.special import expit
 from .data import PointCloud
 from .errors import ArchitectureMismatch, CorruptFile, NonFinite, VersionMismatch
 from .schedule import Schedule, ScheduleKind
+from . import stencil
 
 _HIDDEN = 128
 _N_HIDDEN = 3
@@ -40,35 +41,56 @@ def _swish_grad(z, s):
 
 
 class MlpScore:
-    """Four-layer dense score network with seeded Glorot-uniform init."""
+    """Four-layer dense score network with seeded Glorot-uniform init.
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
+    All parameters live in one float64 buffer ``params`` in checkpoint
+    order (W0 row-major, b0, W1, b1, ...); ``weights`` and ``biases`` are
+    views into it, so an in-place update of ``params`` is what the next
+    forward pass uses.  ``shapes`` lists each layer's (fan_in, fan_out).
+    """
+
+    def __init__(self, params: np.ndarray, shapes: list[tuple[int, int]],
                  dim: int, seed: int = 0):
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
+        self.shapes = [(int(fi), int(fo)) for fi, fo in shapes]
         self.dim = int(dim)
         self.seed = int(seed)
-        widths = [w.shape for w in self.weights]
-        if len(widths) != _N_HIDDEN + 1:
-            raise ArchitectureMismatch(f"expected {_N_HIDDEN + 1} layers, got {len(widths)}")
-        chain = [self.dim + 1] + [w.shape[1] for w in self.weights]
-        for i, w in enumerate(self.weights):
-            if w.shape[0] != chain[i] or self.biases[i].shape != (w.shape[1],):
-                raise ArchitectureMismatch(f"layer {i} has shape {w.shape}")
+        if len(self.shapes) != _N_HIDDEN + 1:
+            raise ArchitectureMismatch(f"expected {_N_HIDDEN + 1} layers, "
+                                       f"got {len(self.shapes)}")
+        chain = [self.dim + 1] + [fo for _, fo in self.shapes]
+        for i, shape in enumerate(self.shapes):
+            if shape[0] != chain[i]:
+                raise ArchitectureMismatch(f"layer {i} has shape {shape}")
         if chain[-1] != self.dim:
             raise ArchitectureMismatch("output width must equal the state dimension")
+        self.params = np.array(params, dtype=float)
+        want = sum(fi * fo + fo for fi, fo in self.shapes)
+        if self.params.shape != (want,):
+            raise ArchitectureMismatch(f"{self.params.size} parameters, expected {want}")
+        views = self.views(self.params)
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @classmethod
     def create(cls, dim: int, seed: int = 0, hidden: int = _HIDDEN) -> "MlpScore":
         widths = [dim + 1] + [hidden] * _N_HIDDEN + [dim]
-        weights, biases = [], []
-        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        shapes = list(zip(widths[:-1], widths[1:]))
+        parts = []
+        for i, (fan_in, fan_out) in enumerate(shapes):
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(weights, biases, dim=dim, seed=seed)
+            parts += [rng.uniform(-bound, bound, size=fan_in * fan_out), np.zeros(fan_out)]
+        return cls(np.concatenate(parts), shapes, dim=dim, seed=seed)
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-layer views [W0, b0, W1, b1, ...] of a buffer laid out like
+        ``params`` (the parameters themselves, or a gradient)."""
+        out, pos = [], 0
+        for fi, fo in self.shapes:
+            out.append(flat[pos:pos + fi * fo].reshape(fi, fo))
+            out.append(flat[pos + fi * fo:pos + fi * fo + fo])
+            pos += fi * fo + fo
+        return out
 
     # -- evaluation ---------------------------------------------------------
 
@@ -93,32 +115,23 @@ class MlpScore:
             raise NonFinite("score network produced a non-finite output")
         return out, cache
 
-    def backprop(self, cache, grad_out: np.ndarray) -> list[np.ndarray]:
-        """Parameter gradients for an upstream dL/d(output); order W0,b0,..."""
-        grads: list[np.ndarray] = [None] * (2 * len(self.weights))
+    def backprop(self, cache, grad_out: np.ndarray) -> np.ndarray:
+        """Flat parameter gradient, laid out like ``params``, for an
+        upstream dL/d(output)."""
+        flat = np.empty_like(self.params)
+        grads = self.views(flat)
         h_last = cache[-1][0]
-        grads[-2] = h_last.T @ grad_out
-        grads[-1] = grad_out.sum(axis=0)
+        grads[-2][...] = h_last.T @ grad_out
+        grads[-1][...] = grad_out.sum(axis=0)
         delta = grad_out @ self.weights[-1].T
         for i in range(_N_HIDDEN - 1, -1, -1):
             h, z, s = cache[i]
             delta = delta * _swish_grad(z, s)
-            grads[2 * i] = h.T @ delta
-            grads[2 * i + 1] = delta.sum(axis=0)
+            grads[2 * i][...] = h.T @ delta
+            grads[2 * i + 1][...] = delta.sum(axis=0)
             if i > 0:
                 delta = delta @ self.weights[i].T
-        return grads
-
-    def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
-
-    def set_params(self, params: list[np.ndarray]) -> None:
-        for i in range(len(self.weights)):
-            self.weights[i] = np.asarray(params[2 * i], dtype=float)
-            self.biases[i] = np.asarray(params[2 * i + 1], dtype=float)
+        return flat
 
 
 @dataclass
@@ -154,54 +167,23 @@ def score_batch(score, xs: np.ndarray, t) -> np.ndarray:
     return np.asarray(score(xs, t), dtype=float)
 
 
-def _stencil_points(x: np.ndarray, dx: float) -> np.ndarray:
-    """x plus the 2d axis-aligned offsets: rows [x+dx e_1, x-dx e_1, ...]."""
-    d = x.size
-    offs = np.zeros((2 * d, d))
-    for i in range(d):
-        offs[2 * i, i] = dx
-        offs[2 * i + 1, i] = -dx
-    return x[None, :] + offs
-
-
-def score_divergence(score, x: np.ndarray, t: float, dx: float) -> float:
-    """div s by central differences at spacing dx."""
-    x = np.asarray(x, dtype=float)
-    vals = score_batch(score, _stencil_points(x, dx), t)
-    d = x.size
-    return float(sum((vals[2 * i, i] - vals[2 * i + 1, i]) / (2 * dx) for i in range(d)))
-
-
 def score_jacobian(score, x: np.ndarray, t: float, dx: float) -> np.ndarray:
     """J[i, j] = d s_i / d x_j by central differences."""
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    vals = score_batch(score, _stencil_points(x, dx), t)
-    jac = np.empty((d, d))
-    for j in range(d):
-        jac[:, j] = (vals[2 * j] - vals[2 * j + 1]) / (2 * dx)
-    return jac
+    return stencil.jacobian(score_batch(score, stencil.points(x, dx), t), dx)
 
 
 def score_div_derivatives(score, x: np.ndarray, t: float, dx: float):
     """(div s, grad(div s), laplacian(div s)) from one batched stencil sweep.
 
     grad and laplacian of the divergence are nested central differences: the
-    divergence itself is evaluated at x and at the four (2d) axis offsets.
+    divergence itself is evaluated at x and at the 2d axis offsets.
     """
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    centers = np.vstack([x[None, :], _stencil_points(x, dx)])  # (1+2d, d)
-    pts = np.concatenate([_stencil_points(c, dx) for c in centers], axis=0)
-    vals = score_batch(score, pts, t).reshape(len(centers), 2 * d, d)
-    divs = np.array([
-        sum((block[2 * i, i] - block[2 * i + 1, i]) / (2 * dx) for i in range(d))
-        for block in vals
-    ])
-    div_c = divs[0]
-    grad = np.array([(divs[1 + 2 * j] - divs[2 + 2 * j]) / (2 * dx) for j in range(d)])
-    lap = float((divs[1:].sum() - 2 * d * div_c) / dx ** 2)
-    return float(div_c), grad, lap
+    centers = stencil.star(x, dx)  # (1+2d, d)
+    n, d = centers.shape
+    vals = score_batch(score, stencil.points(centers, dx).reshape(-1, d), t)
+    divs = stencil.divergence(vals.reshape(n, 2 * d, d), dx)
+    return (float(divs[0]), stencil.gradient(divs[1:], dx),
+            float(stencil.laplacian(divs[0], divs[1:], dx)))
 
 
 # -- denoising score matching loss -------------------------------------------
@@ -209,7 +191,7 @@ def score_div_derivatives(score, x: np.ndarray, t: float, dx: float):
 @dataclass
 class DsmLoss:
     loss: float
-    grads: list[np.ndarray] | None
+    grads: np.ndarray | None  # flat, laid out like MlpScore.params
 
 
 def _as_points(batch) -> np.ndarray:
@@ -272,10 +254,10 @@ def dsm_loss(model, batch, schedule: Schedule, rng_seed,
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators shaped like the parameter list."""
+    """First/second moment accumulators shaped like the flat parameters."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -283,27 +265,22 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def init(cls, params: list[np.ndarray], lr: float = 1e-3) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params], lr=lr)
+    def init(cls, params: np.ndarray, lr: float = 1e-3) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 
-def adam_step(state: AdamState, params: list[np.ndarray],
-              grads: list[np.ndarray]) -> list[np.ndarray]:
-    """One bias-corrected Adam update; returns the new parameter list."""
-    if len(params) != len(state.m) or len(grads) != len(params):
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
+    """One bias-corrected Adam update of the flat ``params``, in place."""
+    if params.shape != state.m.shape or grads.shape != params.shape:
         raise ValueError("parameter / gradient / state shapes disagree")
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
-    new_params = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        mhat = state.m[i] / bc1
-        vhat = state.v[i] / bc2
-        new_params.append(p - state.lr * mhat / (np.sqrt(vhat) + state.eps))
-    return new_params
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grads
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * (grads * grads)
+    params -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.eps)
 
 
 # -- checkpoint format --------------------------------------------------------
@@ -334,13 +311,10 @@ def checkpoint_save(model: MlpScore, path, schedule: Schedule | None = None,
         int(meta.get("epochs", 0)), int(meta.get("batch_size", 0)),
         int(meta.get("time_grid_size", _TIME_GRID_DEFAULT)),
         float(meta.get("lr", 0.0)),
-        int(model.dim), len(model.weights),
+        int(model.dim), len(model.shapes),
     )
-    dims = b"".join(struct.pack("<II", *w.shape) for w in model.weights)
-    payload = b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for w, b in zip(model.weights, model.biases) for arr in (w, b)
-    )
+    dims = b"".join(struct.pack("<II", *shape) for shape in model.shapes)
+    payload = np.ascontiguousarray(model.params, dtype="<f8").tobytes()
     body = head + dims + payload
     with open(path, "wb") as fh:
         fh.write(body)
@@ -370,16 +344,10 @@ def checkpoint_load(path, dim: int | None = None) -> tuple[MlpScore, dict]:
     payload = np.frombuffer(body, dtype="<f8", offset=off)
     if payload.size != want:
         raise CorruptFile(f"payload holds {payload.size} floats, expected {want}")
-    weights, biases, pos = [], [], 0
-    for fi, fo in shapes:
-        weights.append(payload[pos:pos + fi * fo].reshape(fi, fo).copy())
-        pos += fi * fo
-        biases.append(payload[pos:pos + fo].copy())
-        pos += fo
     if dim is not None and file_dim != dim:
         raise ArchitectureMismatch(f"checkpoint is {file_dim}-dimensional, expected {dim}")
     try:
-        model = MlpScore(weights, biases, dim=file_dim, seed=seed)
+        model = MlpScore(payload, shapes, dim=file_dim, seed=seed)
     except ArchitectureMismatch as exc:
         raise CorruptFile(f"inconsistent layer widths: {exc}") from exc
     meta = {

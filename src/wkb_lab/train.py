@@ -42,8 +42,7 @@ def train(config: TrainConfig, dataset: PointCloud, schedule: Schedule) -> Train
     if config.batch_size > n:
         raise ValueError("batch_size exceeds the dataset size")
     model = MlpScore.create(dim=dataset.dim, seed=config.seed)
-    params = model.params()
-    adam = AdamState.init(params, lr=config.lr)
+    adam = AdamState.init(model.params, lr=config.lr)
     batch_rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(0xBA7C,))))
     steps_per_epoch = -(-n // config.batch_size)
@@ -56,14 +55,15 @@ def train(config: TrainConfig, dataset: PointCloud, schedule: Schedule) -> Train
             idx = batch_rng.integers(0, n, size=config.batch_size)
             noise_rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence(entropy=config.seed, spawn_key=(0xD5, step))))
-            out = dsm_loss(model, dataset.points[idx], schedule, noise_rng,
-                           time_grid_size=config.time_grid_size)
-            if not np.isfinite(out.loss):
-                pnorm = float(np.sqrt(sum(float(np.sum(p * p)) for p in params)))
-                raise NonFinite(
-                    f"loss diverged at epoch {epoch}, batch {k} (param norm {pnorm:.3e})")
-            params = adam_step(adam, params, out.grads)
-            model.set_params(params)
+            try:
+                out = dsm_loss(model, dataset.points[idx], schedule, noise_rng,
+                               time_grid_size=config.time_grid_size)
+            except NonFinite as exc:
+                # hypot does not overflow where the sum of squares would
+                pnorm = float(np.hypot.reduce(model.params))
+                raise NonFinite(f"training diverged at epoch {epoch}, batch {k} "
+                                f"(param norm {pnorm:.3e}): {exc}") from exc
+            adam_step(adam, model.params, out.grads)
             epoch_losses[k] = out.loss
             step += 1
         trace[epoch] = epoch_losses.mean()

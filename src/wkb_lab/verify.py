@@ -11,11 +11,12 @@ import numpy as np
 
 from .data import make_25gaussian, make_swiss_roll, pooled_std
 from .gaussian_oracle import GaussianModel, flow_identity_residual_grid
-from .likelihood import fd_gradient, fd_laplacian, logq_pf, prior_logpdf
+from .likelihood import logq_pf, prior_logpdf
 from .ode import OdeProblem, solve_adaptive
 from .pathaction import DiscretePath, DiscretizationScheme, forward_action
 from .sampler import SamplerConfig, sample_sde
 from .schedule import Schedule, ScheduleKind
+from . import stencil
 from .wasserstein import w2_exact
 
 _ALL_SCHEDULES = (
@@ -84,8 +85,9 @@ def run_verification(stream) -> list[str]:
 
     # stencils are exact on quadratics
     quad = lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2
-    g = fd_gradient(quad, np.array([1.0, 0.0]), 0.01)
-    lap = fd_laplacian(quad, np.array([1.0, 0.0]), 0.01)
+    vals = quad(stencil.star(np.array([1.0, 0.0]), 0.01))
+    g = stencil.gradient(vals[1:], 0.01)
+    lap = stencil.laplacian(vals[0], vals[1:], 0.01)
     check("stencil_quadratic_exactness",
           max(abs(g[0] - 2.0), abs(g[1]), abs(lap - 4.0)), 1e-9)
 

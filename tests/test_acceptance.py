@@ -173,7 +173,7 @@ def test_criterion_06_gradient_correctness():
     for seed in (0, 1, 2):
         model = MlpScore.create(dim=2, seed=seed)
         out = dsm_loss(model, cloud.points, sched, rng_seed=seed + 50)
-        params = model.params()
+        params, grads = model.views(model.params), model.views(out.grads)
         rng = np.random.default_rng(600 + seed)
         for j in range(20):
             k = j % len(params)  # cycle weights and biases of every layer
@@ -185,7 +185,7 @@ def test_criterion_06_gradient_correctness():
             lm = dsm_loss(model, cloud.points, sched, rng_seed=seed + 50).loss
             params[k][idx] = old
             fd = (lp - lm) / (2 * h)
-            bp = out.grads[k][idx]
+            bp = grads[k][idx]
             worst = max(worst, abs(bp - fd) / max(abs(fd), abs(bp), 1e-10))
     elapsed = time.time() - t0
     assert worst < 1e-4

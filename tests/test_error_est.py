@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import ORACLE_T_MIN, oracle_model
-from wkb_lab.error_est import (LocalErr, local_err_model,
-                               local_err_model_from_derivs,
-                               local_err_subtraction,
-                               local_err_subtraction_from_values,
-                               propagate_error)
-from wkb_lab.likelihood import FdStencil, _first_order_rhs
+from wkb_lab import stencil
+from wkb_lab.error_est import (LocalErr, local_err_model_from_derivs,
+                               local_err_subtraction_from_values)
+from wkb_lab.likelihood import (FdStencil, _first_order_rhs, logq_pf_batch,
+                                nll_first_order)
 from wkb_lab.ode import OdeProblem, solve_adaptive
+from wkb_lab.score import score_div_derivatives
 
 
 def pipeline(eps: float):
@@ -43,16 +43,19 @@ def test_model_scaling_with_dx():
 def test_model_scheme_on_linear_score_reduces_to_floor():
     # the analytic score is linear in x, so its divergence derivatives vanish
     _, sched, score = pipeline(0.3)
-    err = local_err_model(score, np.array([0.2, -0.1]), 0.5, FdStencil(0.01),
-                          logq_err=1e-5)
+    _, grad_div_s, lap_div_s = score_div_derivatives(score, np.array([0.2, -0.1]),
+                                                     0.5, dx=0.01)
+    err = local_err_model_from_derivs(grad_div_s, lap_div_s, dx=0.01, logq_err=1e-5)
     np.testing.assert_allclose(err.grad_err, 1e-3, rtol=1e-6)
     assert err.lap_err == pytest.approx(1e-1, rel=1e-6)
 
 
 def test_subtraction_scheme_bounds_small_on_analytic_case():
     _, sched, score = pipeline(0.3)
-    err = local_err_subtraction(score, sched, np.array([0.1, 0.0]), sched.t_min,
-                                FdStencil(0.01), tol=1e-5)
+    pts = stencil.star(np.array([0.1, 0.0]), 0.01)
+    tight, loose = (logq_pf_batch(score, sched, pts, sched.t_min, tol, FdStencil(0.01))
+                    for tol in (1e-5, 1.1 * 1e-5))
+    err = local_err_subtraction_from_values(tight, loose, dx=0.01)
     assert np.all(err.grad_err < 1e-2)
     assert err.lap_err < 1e-2
 
@@ -64,10 +67,9 @@ def test_local_err_rejects_negative():
 
 def test_zero_local_errors_give_zero_bound():
     _, sched, score = pipeline(0.3)
-    rep_bound = propagate_error(score, sched, np.array([0.1, 0.0]),
-                                FdStencil(0.05), tol_outer=1e-4,
-                                tol_inner=1e-6, scheme="model")
-    from wkb_lab.likelihood import nll_first_order
+    rep_bound = nll_first_order(score, sched, np.array([0.1, 0.0]), FdStencil(0.05),
+                                tol_outer=1e-4, tol_inner=1e-6,
+                                err_scheme="model").err_bound
     none_rep = nll_first_order(score, sched, np.array([0.1, 0.0]), FdStencil(0.05),
                                tol_outer=1e-4, tol_inner=1e-6, err_scheme=None)
     assert none_rep.err_bound == 0.0
@@ -105,6 +107,7 @@ def test_schemes_agree_on_analytic_case_order_of_magnitude():
     _, sched, score = pipeline(0.3)
     x = np.array([0.12, -0.03])
     kw = dict(tol_outer=1e-4, tol_inner=1e-6)
-    b_model = propagate_error(score, sched, x, FdStencil(0.01), scheme="model", **kw)
-    b_sub = propagate_error(score, sched, x, FdStencil(0.01), scheme="subtraction", **kw)
+    b_model, b_sub = (nll_first_order(score, sched, x, FdStencil(0.01), err_scheme=scheme,
+                                      **kw).err_bound
+                      for scheme in ("model", "subtraction"))
     assert b_model < 1e-1 and b_sub < 1e-1

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import ORACLE_T_MIN, oracle_model
-from wkb_lab.likelihood import (FdStencil, fd_grad_logq, fd_gradient,
-                                fd_lap_logq, fd_laplacian, logq_pf,
-                                logq_pf_batch, nll_dataset, nll_first_order,
-                                prior_grad, prior_logpdf, write_nll_table)
+from wkb_lab import stencil
+from wkb_lab.likelihood import (FdStencil, logq_pf, logq_pf_batch, nll_dataset,
+                                nll_first_order, prior_grad, prior_logpdf,
+                                write_nll_table)
 
 
 def pipeline(eps: float, t_min: float = ORACLE_T_MIN):
@@ -55,28 +55,15 @@ def test_logq_self_consistent_under_tol_tightening():
     assert abs(loose - tight) < 1e-4
 
 
-def test_stencils_exact_on_quadratic():
-    f = lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2
-    np.testing.assert_allclose(fd_gradient(f, np.array([1.0, 0.0]), 0.01),
-                               [2.0, 0.0], atol=1e-10)
-    assert fd_laplacian(f, np.array([1.0, 0.0]), 0.01) == pytest.approx(4.0, abs=1e-7)
-
-
-def test_stencil_truncation_error_quarters_with_half_dx():
-    f = lambda pts: pts[:, 0] ** 4
-    x = np.array([1.0, 0.5])
-    errs = [abs(fd_gradient(f, x, dx)[0] - 4.0) for dx in (0.02, 0.01)]
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=1e-3)
-
-
 def test_fd_grad_logq_stationary_gaussian():
     from wkb_lab.gaussian_oracle import GaussianModel
     m = GaussianModel(beta=4.0, v0=1.0, epsilon=0.0, T=4.0)
     sched, score = m.to_schedule(dim=2, t_min=0.01), m.to_score(dim=2)
     x = np.array([0.5, -0.3])
-    grad = fd_grad_logq(score, sched, x, sched.t_min, FdStencil(0.01), tol=1e-7)
-    np.testing.assert_allclose(grad, -x, atol=1e-4)
-    lap = fd_lap_logq(score, sched, x, sched.t_min, FdStencil(0.01), tol=1e-7)
+    logq = logq_pf_batch(score, sched, stencil.star(x, 0.01), sched.t_min, tol=1e-7,
+                         stencil=FdStencil(0.01))
+    np.testing.assert_allclose(stencil.gradient(logq[1:], 0.01), -x, atol=1e-4)
+    lap = stencil.laplacian(logq[0], logq[1:], 0.01)
     assert lap == pytest.approx(-2.0, abs=1e-2)
 
 

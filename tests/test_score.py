@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
+from wkb_lab import stencil
 from wkb_lab.data import make_swiss_roll
 from wkb_lab.errors import ArchitectureMismatch, CorruptFile, VersionMismatch
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.score import (AdamState, AnalyticGaussianScore, MlpScore, adam_step,
                            checkpoint_load, checkpoint_save, draw_dsm_noise,
-                           dsm_loss, score_div_derivatives, score_divergence,
-                           score_jacobian)
+                           dsm_loss, score_div_derivatives, score_jacobian)
 
 SCHED = Schedule(kind=ScheduleKind.SIMPLE, beta=20.0, dim=2)
 
 
 def zero_model(dim=2):
     model = MlpScore.create(dim=dim, seed=0)
-    model.set_params([np.zeros_like(p) for p in model.params()])
+    model.params[:] = 0.0
     return model
 
 
@@ -78,7 +78,7 @@ def test_dsm_gradient_matches_finite_differences(seed):
     cloud = make_swiss_roll(96, seed=8)
     model = MlpScore.create(dim=2, seed=seed)
     out = dsm_loss(model, cloud.points, SCHED, rng_seed=seed + 50)
-    params = model.params()
+    params, grads = model.views(model.params), model.views(out.grads)
     rng = np.random.default_rng(seed)
     for k in range(len(params)):  # one entry per weight/bias tensor
         idx = tuple(int(rng.integers(0, s)) for s in params[k].shape)
@@ -89,7 +89,7 @@ def test_dsm_gradient_matches_finite_differences(seed):
         lm = dsm_loss(model, cloud.points, SCHED, rng_seed=seed + 50).loss
         params[k][idx] = old
         fd = (lp - lm) / (2 * h)
-        bp = out.grads[k][idx]
+        bp = grads[k][idx]
         assert abs(bp - fd) / max(abs(fd), abs(bp), 1e-10) < 1e-4
 
 
@@ -99,42 +99,39 @@ def test_dsm_rejects_empty_batch():
 
 
 def test_adam_zero_gradient_keeps_parameters():
-    p = [np.array([1.0, -2.0])]
+    p = np.array([1.0, -2.0])
     state = AdamState.init(p)
-    out = adam_step(state, p, [np.zeros(2)])
-    np.testing.assert_array_equal(out[0], p[0])
+    adam_step(state, p, np.zeros(2))
+    np.testing.assert_array_equal(p, [1.0, -2.0])
 
 
 def test_adam_single_step_closed_form():
     for g in (3.0, -0.25):
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         state = AdamState.init(p, lr=1e-3)
-        out = adam_step(state, p, [np.array([g])])
-        assert out[0][0] == pytest.approx(-1e-3 * np.sign(g), rel=1e-6)
+        adam_step(state, p, np.array([g]))
+        assert p[0] == pytest.approx(-1e-3 * np.sign(g), rel=1e-6)
 
 
 def test_adam_deterministic():
     def run():
         model = MlpScore.create(dim=2, seed=4)
-        params = model.params()
-        state = AdamState.init(params)
+        state = AdamState.init(model.params)
         cloud = make_swiss_roll(64, seed=9)
         for step in range(5):
-            model.set_params(params)
             out = dsm_loss(model, cloud.points, SCHED, rng_seed=step)
-            params = adam_step(state, params, out.grads)
-        return params
+            adam_step(state, model.params, out.grads)
+        return model.params
 
-    a, b = run(), run()
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(run(), run())
 
 
 def test_stencil_derivatives_exact_on_linear_score():
     score = AnalyticGaussianScore(beta=1.0, v0=2.0, epsilon=0.3, dim=2)
     t, x = 0.4, np.array([0.7, -0.2])
     coef = -(1.3) / score.v_t(t)
-    assert score_divergence(score, x, t, dx=0.05) == pytest.approx(2 * coef, rel=1e-12)
+    div = stencil.divergence(score(stencil.points(x, 0.05), t), 0.05)
+    assert div == pytest.approx(2 * coef, rel=1e-12)
     np.testing.assert_allclose(score_jacobian(score, x, t, dx=0.05),
                                coef * np.eye(2), atol=1e-12)
     div, grad_div, lap_div = score_div_derivatives(score, x, t, dx=0.05)
@@ -149,8 +146,8 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     checkpoint_save(model, path, SCHED, train_meta={"epochs": 3, "lr": 1e-3,
                                                     "batch_size": 64})
     loaded, meta = checkpoint_load(path)
-    for a, b in zip(model.params(), loaded.params()):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(model.params, loaded.params)
+    assert loaded.shapes == model.shapes
     assert meta["schedule_kind"] is ScheduleKind.SIMPLE
     assert meta["epochs"] == 3
     assert meta["seed"] == 12

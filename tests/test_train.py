@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wkb_lab.data import make_swiss_roll
+from wkb_lab.errors import NonFinite
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.score import MlpScore
 from wkb_lab.train import TrainConfig, save_loss_trace, train
@@ -13,8 +14,7 @@ def test_zero_epochs_returns_initialization():
     cloud = make_swiss_roll(600, seed=1)
     res = train(TrainConfig(epochs=0, seed=13), cloud, SCHED)
     init = MlpScore.create(dim=2, seed=13)
-    for a, b in zip(res.model.params(), init.params()):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(res.model.params, init.params)
     assert res.loss_trace.size == 0
 
 
@@ -23,8 +23,7 @@ def test_training_is_deterministic():
     a = train(TrainConfig(epochs=8, batch_size=128, seed=21), cloud, SCHED)
     b = train(TrainConfig(epochs=8, batch_size=128, seed=21), cloud, SCHED)
     np.testing.assert_array_equal(a.loss_trace, b.loss_trace)
-    for x, y in zip(a.model.params(), b.model.params()):
-        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(a.model.params, b.model.params)
 
 
 def test_loss_trends_downward():
@@ -32,6 +31,16 @@ def test_loss_trends_downward():
     res = train(TrainConfig(epochs=60, batch_size=256, seed=3), cloud, SCHED)
     assert np.all(np.isfinite(res.loss_trace))
     assert res.loss_trace[-20:].mean() < res.loss_trace[:20].mean()
+
+
+def test_divergence_reports_epoch_batch_and_param_norm():
+    cloud = make_swiss_roll(256, seed=1)
+    # the first Adam step moves every parameter by ~lr; the norm stays finite
+    finite_norm = r"epoch 0, batch 1 \(param norm \d\.\d{3}e\+\d+\)"
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFinite, match=finite_norm) as info:
+        train(TrainConfig(epochs=3, batch_size=64, lr=1e200), cloud, SCHED)
+    assert isinstance(info.value.__cause__, NonFinite)
 
 
 def test_batch_size_must_fit_dataset():
