@@ -1,4 +1,4 @@
-"""Local numerical-error estimators for the stencil log-density derivatives.
+"""Local numerical-error estimators for grad log q0 and its Laplacian.
 The first-order solver in ``likelihood`` propagates them to a bound on the
 correction.
 
@@ -6,10 +6,11 @@ Two local schemes:
 
 * ``model``: the stencil truncation error of a central difference scales as
   (third or fourth derivative) * dx^2, and the trained score stands in for
-  the unavailable log-density derivatives; the inner-solver error floor
-  enters as logq_err / dx (gradient) and logq_err / dx^2 (Laplacian).
-* ``subtraction``: rerun the inner solves with tolerances stretched by 1.1
-  and take the absolute stencil difference.
+  the unavailable log-density derivatives; the zeroth-order solver's error
+  floor enters as logq_err / dx (gradient) and logq_err / dx^2 (Laplacian),
+  a term sized for stencils over solves that ROADMAP item 3 retires.
+* ``subtraction``: rerun the backward characteristic solve with its
+  tolerance stretched by 1.1 and take the absolute differences.
 
 The propagation integrates the conservative system
 
@@ -26,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import stencil
 
 # Constant multiplying the inner-solver error estimate in the floor terms.
 _ERR_CONST = 1.0
@@ -53,14 +52,10 @@ def local_err_model_from_derivs(grad_div_s: np.ndarray, lap_div_s: float,
     return LocalErr(grad_err=grad, lap_err=float(lap))
 
 
-def local_err_subtraction_from_values(vals_tight: np.ndarray, vals_loose: np.ndarray,
-                                      dx: float) -> LocalErr:
-    """Stencil-difference errors from paired (tight, loose) solve values
-    on the star layout [center, +e1, -e1, +e2, -e2, ...] (``stencil.star``)."""
-    vt = np.asarray(vals_tight, dtype=float)
-    vl = np.asarray(vals_loose, dtype=float)
-    grad_t = stencil.gradient(vt[1:], dx)
-    grad_l = stencil.gradient(vl[1:], dx)
-    lap_t = stencil.laplacian(vt[0], vt[1:], dx)
-    lap_l = stencil.laplacian(vl[0], vl[1:], dx)
-    return LocalErr(grad_err=np.abs(grad_l - grad_t), lap_err=float(abs(lap_l - lap_t)))
+def local_err_subtraction_from_values(tight, loose) -> LocalErr:
+    """Errors of grad log q0 and its Laplacian from paired (gradient,
+    Laplacian) values of the same point, solved at a tolerance and at the
+    tolerance stretched by 1.1."""
+    (grad_t, lap_t), (grad_l, lap_l) = tight, loose
+    return LocalErr(grad_err=np.abs(np.asarray(grad_l, dtype=float) - grad_t),
+                    lap_err=float(abs(lap_l - lap_t)))

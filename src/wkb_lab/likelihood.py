@@ -13,21 +13,30 @@ sensitivity system along the same flow,
     d(dx')/dt  = (dx' . grad) f_pf - (g^2/2) [ s - grad log q0_t(x) ]
     d(dlogq)/dt= div of the line above,
 
-whose driving term needs grad log q0 and its Laplacian at the moving point.
-Those are formed by central differences over five zeroth-order solves per
-right-hand-side evaluation (the five solves run as one joint ODE, which
-also makes their solver errors strongly correlated and thus mostly cancel
-in the stencil differences).  Alongside the sensitivity system we
-integrate the conservative local-error bounds, giving the final err_bound.
+whose driving term needs grad log q0_t and its Laplacian at the moving
+point.  Both come from one backward pass per point: with J_pf = alpha I -
+(g^2/2) grad s the flow Jacobian, a = grad log q0_t and H = its Hessian
+obey, along the flow, the linear characteristic equations
 
-All spatial derivatives of the score use the same central-difference
-stencil spacing as the log-density stencils.
+    da/dt = -J_pf^T a + (g^2/2) grad(div s)
+    dH/dt = -J_pf^T H - H J_pf + (g^2/2) [ sum_k a_k hess(s_k) + hess(div s) ]
+
+from a = -x_T, H = -I at t_max (the log-density transport of neural-ODE
+adjoints).  One adaptive solve of (x, a, H) from t_max down to t_min, with
+DOPRI5's continuous extension between its steps, serves every right-hand
+side of the sensitivity system: grad log q0_t(x) = a + H (x - x_ref) and
+the Laplacian is tr H.  Alongside the sensitivity system we integrate the
+conservative local-error bounds, giving the final err_bound.
+
+All spatial derivatives of the score are central differences at the one
+stencil spacing dx (``stencil``).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +45,9 @@ from .error_est import (LocalErr, local_err_model_from_derivs,
 from .errors import WkbLabError
 from .ode import OdeProblem, solve_adaptive, solve_fixed_rk4
 from .schedule import Schedule
-from .score import score_batch, score_div_derivatives, score_jacobian
-from .stencil import divergence, gradient, laplacian, points, star
+from .score import (score_batch, score_div_derivatives, score_jacobian,
+                    score_second_derivatives)
+from .stencil import divergence, points
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -97,9 +107,9 @@ def _pf_with_div_rhs(score, schedule: Schedule, m: int, dx: float):
     return rhs
 
 
-def logq_pf_batch(score, schedule: Schedule, xs: np.ndarray, t_start: float,
-                  tol: float = 1e-5, stencil: FdStencil | None = None) -> np.ndarray:
-    """Zeroth-order log-likelihood at time ``t_start`` for a stack of points."""
+def _zeroth_order_solve(score, schedule: Schedule, xs: np.ndarray, t_start: float,
+                        tol: float, stencil: FdStencil | None):
+    """(log q0 at ``t_start``, end states x_T) for a stack of points."""
     stencil = stencil or FdStencil()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     m, d = xs.shape
@@ -113,7 +123,13 @@ def logq_pf_batch(score, schedule: Schedule, xs: np.ndarray, t_start: float,
         t0=t_start, t1=schedule.t_max, y0=y0, atol=tol, rtol=tol))
     x_T = sol.y_final[: m * d].reshape(m, d)
     ell = sol.y_final[m * d:]
-    return prior_logpdf(x_T) + ell
+    return prior_logpdf(x_T) + ell, x_T
+
+
+def logq_pf_batch(score, schedule: Schedule, xs: np.ndarray, t_start: float,
+                  tol: float = 1e-5, stencil: FdStencil | None = None) -> np.ndarray:
+    """Zeroth-order log-likelihood at time ``t_start`` for a stack of points."""
+    return _zeroth_order_solve(score, schedule, xs, t_start, tol, stencil)[0]
 
 
 def logq_pf(score, schedule: Schedule, x: np.ndarray, t_start: float,
@@ -123,26 +139,105 @@ def logq_pf(score, schedule: Schedule, x: np.ndarray, t_start: float,
                                t_start, tol, stencil)[0])
 
 
+# -- grad log q0 and its Hessian along the flow ---------------------------------
+
+def _characteristic_rhs(score, schedule: Schedule, dx: float):
+    """RHS of the (x, a, H) system: the flow, a = grad log q0_t(x) and
+    H = its Hessian, with J_pf = alpha I - (g^2/2) J the flow Jacobian."""
+    d = schedule.dim
+
+    def rhs(t: float, z: np.ndarray) -> np.ndarray:
+        x, a, hess = z[:d], z[d: 2 * d], z[2 * d:].reshape(d, d)
+        alpha = schedule.drift_coef(t)
+        gg = schedule.g2(t)
+        s, jac, hess_s, grad_div_s, hess_div_s = score_second_derivatives(score, x, t, dx)
+        jac_pf = alpha * np.eye(d) - 0.5 * gg * jac
+        x_dot = alpha * x - 0.5 * gg * s
+        a_dot = -jac_pf.T @ a + 0.5 * gg * grad_div_s
+        h_dot = (-jac_pf.T @ hess - hess @ jac_pf
+                 + 0.5 * gg * (np.einsum("k,kij->ij", a, hess_s) + hess_div_s))
+        return np.concatenate([x_dot, a_dot, h_dot.ravel()])
+
+    return rhs
+
+
+def _logq_characteristic(score, schedule: Schedule, x_T: np.ndarray, tol: float,
+                         stencil: FdStencil):
+    """``derivs(t, x) -> (grad log q0_t(x), laplacian log q0_t(x))`` for x
+    near the probability-flow trajectory that ends at ``x_T``.
+
+    One adaptive solve at ``tol`` runs the (x, a, H) system from t_max,
+    where a = grad log pi(x_T) = -x_T and H = -I, down to t_min; between
+    its steps DOPRI5's continuous extension gives x_ref(t), a(t), H(t), and
+    the gradient at a nearby x is the first-order expansion a + H (x - x_ref).
+    """
+    d = schedule.dim
+    z_T = np.concatenate([x_T, prior_grad(x_T), -np.eye(d).ravel()])
+    dense = solve_adaptive(OdeProblem(
+        rhs=_characteristic_rhs(score, schedule, stencil.dx),
+        t0=schedule.t_max, t1=schedule.t_min, y0=z_T, atol=tol, rtol=tol),
+        record_trace=True).dense
+
+    def derivs(t: float, x: np.ndarray):
+        z = dense(t)
+        hess = z[2 * d:].reshape(d, d)
+        return z[d: 2 * d] + hess @ (x - z[:d]), float(np.trace(hess))
+
+    return derivs
+
+
 # -- first order ---------------------------------------------------------------
 
-def _first_order_rhs(score, schedule: Schedule, stencil: FdStencil,
-                     tol_inner: float, err_scheme: str | None,
-                     logq_err: float = 0.0):
+_ERR_SCHEMES = (None, "model", "subtraction")
+
+
+class OuterState(NamedTuple):
+    """Named views of the first-order state [x, dx', dlogq, err1, err2]."""
+
+    x: np.ndarray
+    delta_x: np.ndarray
+    delta_logq: float
+    err1: np.ndarray
+    err2: float
+
+    @classmethod
+    def of(cls, y: np.ndarray) -> "OuterState":
+        d = (y.size - 2) // 3
+        return cls(y[:d], y[d: 2 * d], float(y[2 * d]), y[2 * d + 1: 3 * d + 1],
+                   float(y[3 * d + 1]))
+
+    @staticmethod
+    def initial(x0: np.ndarray) -> np.ndarray:
+        return np.concatenate([x0, np.zeros(2 * x0.size + 2)])
+
+    @property
+    def correction1(self) -> float:
+        return float(self.delta_x @ prior_grad(self.x)) + self.delta_logq
+
+    @property
+    def err_bound(self) -> float:
+        return float(self.err1 @ np.abs(prior_grad(self.x))) + abs(self.err2)
+
+
+def _first_order_rhs(score, schedule: Schedule, stencil: FdStencil, logq_derivs,
+                     err_scheme: str | None, logq_err: float = 0.0,
+                     logq_derivs_loose=None):
+    """RHS of the outer state; ``logq_derivs`` (and for the subtraction
+    scheme ``logq_derivs_loose``) from ``_logq_characteristic``."""
+    if err_scheme not in _ERR_SCHEMES:
+        raise ValueError(f"unknown error scheme {err_scheme!r}")
+    if err_scheme == "subtraction" and logq_derivs_loose is None:
+        raise ValueError("the subtraction scheme needs a second characteristic")
     d = schedule.dim
     dx = stencil.dx
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        x = y[:d]
-        delta_x = y[d: 2 * d]
-        err1 = y[2 * d + 1: 3 * d + 1]
+        state = OuterState.of(y)
+        x, delta_x, err1 = state.x, state.delta_x, state.err1
         a = schedule.drift_coef(t)
         gg = schedule.g2(t)
 
-        # five zeroth-order solves (center + axis stencil), one joint system
-        pts5 = star(x, dx)
-        logq5 = logq_pf_batch(score, schedule, pts5, t, tol_inner, stencil)
-        grad_logq = gradient(logq5[1:], dx)
-        lap_logq = float(laplacian(logq5[0], logq5[1:], dx))
+        grad_logq, lap_logq = logq_derivs(t, x)
 
         s = score_batch(score, x[None, :], t)[0]
         jac = score_jacobian(score, x, t, dx)
@@ -159,12 +254,9 @@ def _first_order_rhs(score, schedule: Schedule, stencil: FdStencil,
         elif err_scheme == "model":
             local = local_err_model_from_derivs(grad_div_s, lap_div_s, dx,
                                                 logq_err=logq_err)
-        elif err_scheme == "subtraction":
-            logq5_loose = logq_pf_batch(score, schedule, pts5, t,
-                                        1.1 * tol_inner, stencil)
-            local = local_err_subtraction_from_values(logq5, logq5_loose, dx)
         else:
-            raise ValueError(f"unknown error scheme {err_scheme!r}")
+            local = local_err_subtraction_from_values((grad_logq, lap_logq),
+                                                      logq_derivs_loose(t, x))
 
         # full flow Jacobian inside one absolute value: the linear drift and
         # the score part nearly cancel near stationarity, and splitting them
@@ -184,45 +276,47 @@ def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
                     fixed_steps: int | None = None) -> NllReport:
     """Zeroth-order log-likelihood plus the first-order noise coefficient.
 
-    Integrates the coupled (x, sensitivity, divergence accumulator,
-    error-bound) system from t_min to t_max; each right-hand side performs
-    five inner zeroth-order solves at ``tol_inner``.  The outer update is
-    adaptive at ``tol_outer`` unless ``fixed_steps`` selects the uniform
-    RK4 grid.  ``err_scheme`` picks the local-error estimator ("model" from
-    score derivatives, "subtraction" from paired solves at stretched
-    tolerance, or None to skip and report 0).  The model scheme's solver
-    floor is measured once per point as the zeroth-order difference between
-    solves at ``tol_inner`` and ``1.1 * tol_inner`` over the full span.
+    Three passes per point.  The zeroth-order solve from t_min to t_max at
+    ``tol_inner`` gives log q0 and the end state x_T.  From x_T one backward
+    solve at ``tol_inner`` carries grad log q0_t and its Hessian down the
+    flow (``_logq_characteristic``).  The coupled (x, sensitivity,
+    divergence accumulator, error-bound) system then runs from t_min to
+    t_max, adaptive at ``tol_outer`` unless ``fixed_steps`` selects the
+    uniform RK4 grid.  ``err_scheme`` picks the local-error estimator
+    ("model" from score derivatives, "subtraction" from a second backward
+    solve at ``1.1 * tol_inner``, or None to skip and report 0).  The model
+    scheme's solver floor is measured once per point as the zeroth-order
+    difference between solves at ``tol_inner`` and ``1.1 * tol_inner``.
     """
     stencil = stencil or FdStencil()
     x0 = np.asarray(x0, dtype=float)
     d = schedule.dim
     if x0.shape != (d,):
         raise ValueError(f"x0 must have shape ({d},)")
-    log_q0 = logq_pf(score, schedule, x0, schedule.t_min, tol_inner, stencil)
+    logq, x_T = _zeroth_order_solve(score, schedule, x0[None, :], schedule.t_min,
+                                    tol_inner, stencil)
+    log_q0 = float(logq[0])
     logq_err = 0.0
     if err_scheme == "model":
         loose = logq_pf(score, schedule, x0, schedule.t_min, 1.1 * tol_inner, stencil)
         logq_err = abs(loose - log_q0)
+    logq_derivs = _logq_characteristic(score, schedule, x_T[0], tol_inner, stencil)
+    loose_derivs = None
+    if err_scheme == "subtraction":
+        loose_derivs = _logq_characteristic(score, schedule, x_T[0], 1.1 * tol_inner,
+                                            stencil)
 
-    y0 = np.concatenate([x0, np.zeros(d + 1 + d + 1)])
-    rhs = _first_order_rhs(score, schedule, stencil, tol_inner, err_scheme, logq_err)
+    y0 = OuterState.initial(x0)
+    rhs = _first_order_rhs(score, schedule, stencil, logq_derivs, err_scheme, logq_err,
+                           loose_derivs)
     if fixed_steps is None:
         sol = solve_adaptive(OdeProblem(rhs=rhs, t0=schedule.t_min, t1=schedule.t_max,
                                         y0=y0, atol=tol_outer, rtol=tol_outer))
     else:
         sol = solve_fixed_rk4(rhs, schedule.t_min, schedule.t_max, y0, fixed_steps)
-    y = sol.y_final
-    x_T = y[:d]
-    delta_x_T = y[d: 2 * d]
-    delta_logq_T = float(y[2 * d])
-    err1_T = y[2 * d + 1: 3 * d + 1]
-    err2_T = float(y[3 * d + 1])
-
-    correction1 = float(delta_x_T @ prior_grad(x_T)) + delta_logq_T
-    err_bound = float(err1_T @ np.abs(prior_grad(x_T))) + abs(err2_T)
-    return NllReport(log_q0=log_q0, correction1=correction1, err_bound=err_bound,
-                     x_T=x_T, delta_x_T=delta_x_T)
+    state = OuterState.of(sol.y_final)
+    return NllReport(log_q0=log_q0, correction1=state.correction1,
+                     err_bound=state.err_bound, x_T=state.x, delta_x_T=state.delta_x)
 
 
 # -- dataset aggregation --------------------------------------------------------
@@ -252,7 +346,7 @@ def _point_job(args):
     try:
         return nll_first_order(score, schedule, x, stencil, tol_outer, tol_inner,
                                err_scheme)
-    except WkbLabError:
+    except Exception:  # one bad point, whatever raised, must not end the run
         return None
 
 
@@ -262,10 +356,12 @@ def nll_dataset(score, schedule: Schedule, cloud, stencil: FdStencil | None = No
                 threads: int = 1) -> NllSummary:
     """Per-point first-order reports over a point cloud, aggregated.
 
-    Failed points (solver blow-ups) are excluded and counted.  ``threads``
-    spreads points over worker processes; results are independent of the
-    worker count.
+    Failed points (solver blow-ups, or anything else a point raises) are
+    excluded and counted.  ``threads`` spreads points over worker
+    processes; results are independent of the worker count.
     """
+    if err_scheme not in _ERR_SCHEMES:
+        raise ValueError(f"unknown error scheme {err_scheme!r}")
     pts = np.atleast_2d(np.asarray(getattr(cloud, "points", cloud), dtype=float))
     if n_points is not None:
         pts = pts[:n_points]

@@ -31,6 +31,21 @@ _A = [
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # b5 - b4: coefficients of the embedded error estimate
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# 4th-order continuous extension (Hairer-Norsett-Wanner I, II.6): over a step
+# from y at t with stages k, y(t + theta h) = y + h (k.T @ _P) @ [theta, .., theta^4]
+_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -65,12 +80,39 @@ class OdeProblem:
             raise NonFinite("initial state is not finite")
 
 
+class DenseOutput:
+    """Continuous extension of an adaptive solve: ``y(t)`` anywhere in its span.
+
+    Holds, per accepted step, its start time ``t_start``, signed size
+    ``h``, start state and interpolation coefficients ``q`` (``k.T @ _P``).
+    """
+
+    def __init__(self, t_start, h, y_start, q):
+        self.h = np.asarray(h, dtype=float)
+        self.y_start = np.asarray(y_start, dtype=float)
+        self.q = np.asarray(q, dtype=float)
+        t_start = np.asarray(t_start, dtype=float)
+        # breakpoints in increasing order, whichever way the solve ran
+        self._forward = bool(self.h[0] > 0.0)
+        self._t_start = t_start
+        self._breaks = t_start[1:] if self._forward else t_start[:0:-1]
+
+    def __call__(self, t: float) -> np.ndarray:
+        i = int(np.searchsorted(self._breaks, t, side="right"))
+        if not self._forward:
+            i = self.h.size - 1 - i
+        theta = (t - self._t_start[i]) / self.h[i]
+        powers = theta ** np.arange(1, 5)
+        return self.y_start[i] + self.h[i] * (self.q[i] @ powers)
+
+
 @dataclass
 class OdeSolution:
     t_final: float
     y_final: np.ndarray
     n_steps: int
     dense_trace: list[tuple[float, np.ndarray]] | None = field(default=None, repr=False)
+    dense: DenseOutput | None = field(default=None, repr=False)
 
 
 def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray,
@@ -100,6 +142,10 @@ def _initial_step(rhs: Rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
 def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSolution:
     """Integrate with the embedded 5(4) pair and PI step control.
 
+    ``record_trace`` keeps the state after every accepted step in
+    ``dense_trace`` and the continuous extension over the whole span in
+    ``dense``; it does not change the steps or their arithmetic.
+
     Raises
     ------
     NonFinite
@@ -126,6 +172,7 @@ def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSoluti
     trace: list[tuple[float, np.ndarray]] | None = None
     if record_trace:
         trace = [(t, y.copy())]
+        steps: list[tuple[float, float, np.ndarray, np.ndarray]] = []
 
     k = np.empty((7, y.size))
     err_prev = 1e-4
@@ -151,9 +198,11 @@ def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSoluti
         err = _error_norm(err_vec, y, y_new, problem.atol, problem.rtol)
 
         if err <= 1.0:
+            if record_trace:
+                steps.append((t, hd, y, k.T @ _P))
             t = t1 if abs(t1 - (t + hd)) <= min_step else t + hd
             y = y_new
-            f = k[6]  # FSAL
+            f = k[6].copy()  # FSAL; a copy, since a rejected next step rewrites k
             if record_trace:
                 trace.append((t, y.copy()))
             factor = _SAFETY * (err + 1e-16) ** (-_PI_ALPHA) * (err_prev + 1e-16) ** _PI_BETA
@@ -163,7 +212,9 @@ def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSoluti
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         n_steps += 1
 
-    return OdeSolution(t_final=t1, y_final=y, n_steps=n_steps, dense_trace=trace)
+    dense = DenseOutput(*zip(*steps)) if record_trace else None
+    return OdeSolution(t_final=t1, y_final=y, n_steps=n_steps, dense_trace=trace,
+                       dense=dense)
 
 
 def solve_fixed_rk4(rhs: Rhs, t0: float, t1: float, y0: np.ndarray,

@@ -186,6 +186,29 @@ def score_div_derivatives(score, x: np.ndarray, t: float, dx: float):
             float(stencil.laplacian(divs[0], divs[1:], dx)))
 
 
+def score_second_derivatives(score, x: np.ndarray, t: float, dx: float):
+    """(s, J, hess s, grad(div s), hess(div s)) from one gathered stencil sweep.
+
+    The centres are the star and the diagonal points around x; the score is
+    evaluated at each centre and at each centre's 2d axis offsets, in one
+    call of (2d^2 + 1)(2d + 1) rows (45 in 2-D).  J[i, j] = d s_i / d x_j
+    comes from the axis centres, ``hess_s[k]`` is the Hessian of s_k from
+    all centres, and the divergence at every centre gives its gradient and
+    Hessian.
+    """
+    d = x.size
+    centers = np.vstack([stencil.star(x, dx), stencil.diagonal_points(x, dx)])
+    n, na = centers.shape[0], 1 + 2 * d
+    vals = score_batch(score, np.vstack([centers,
+                                         stencil.points(centers, dx).reshape(-1, d)]), t)
+    s_c = vals[:n]
+    divs = stencil.divergence(vals[n:].reshape(n, 2 * d, d), dx)
+    jac = stencil.jacobian(s_c[1:na], dx)
+    hess_s = stencil.hessian(s_c[0], s_c[1:na].T, s_c[na:].T, dx)
+    hess_div = stencil.hessian(divs[0], divs[1:na], divs[na:], dx)
+    return s_c[0], jac, hess_s, stencil.gradient(divs[1:na], dx), hess_div
+
+
 # -- denoising score matching loss -------------------------------------------
 
 @dataclass

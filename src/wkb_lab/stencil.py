@@ -5,12 +5,18 @@ The stencil around a centre x in d dimensions is the 2d points
     x + dx e_1, x - dx e_1, x + dx e_2, x - dx e_2, ...
 
 in that order (``points``); with the centre prepended it is the (2d+1)-point
-star (``star``).  Every spatial derivative of a log-density or of a score
-in the package is a central difference over values laid out this way: the
-derivative functions below take the values at the 2d offset points along
-one axis of length 2d (the Laplacian also the centre value), whatever
-produced them.  All are second-order accurate and exact on quadratics
-(gradient, Laplacian) and on affine vector fields (Jacobian, divergence).
+star (``star``).  Mixed second derivatives add the 2d(d-1) diagonal points
+(``diagonal_points``): for each axis pair i < j in order,
+
+    x + dx (e_i + e_j), x + dx (e_i - e_j), x - dx (e_i - e_j), x - dx (e_i + e_j).
+
+Every spatial derivative of a log-density or of a score in the package is a
+central difference over values laid out this way: the derivative functions
+below take the values at the 2d offset points along one axis of length 2d
+(the Laplacian and Hessian also the centre value, the Hessian also the
+diagonal values), whatever produced them.  All are second-order accurate
+and exact on quadratics (gradient, Laplacian, Hessian) and on affine vector
+fields (Jacobian, divergence).
 """
 
 from __future__ import annotations
@@ -36,6 +42,24 @@ def offsets(d: int, dx: float) -> np.ndarray:
     return offs
 
 
+@functools.lru_cache(maxsize=32)
+def diagonal_offsets(d: int, dx: float) -> np.ndarray:
+    """The (2d(d-1), d) diagonal offsets, four per axis pair i < j:
+    dx (e_i + e_j), dx (e_i - e_j), -dx (e_i - e_j), -dx (e_i + e_j).
+
+    Cached and read-only, like ``offsets``.
+    """
+    offs = np.zeros((2 * d * (d - 1), d))
+    k = 0
+    for i in range(d):
+        for j in range(i + 1, d):
+            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                offs[k, i], offs[k, j] = si * dx, sj * dx
+                k += 1
+    offs.flags.writeable = False
+    return offs
+
+
 def points(x: np.ndarray, dx: float) -> np.ndarray:
     """Offset points around each centre: (..., d) centres -> (..., 2d, d)."""
     x = np.asarray(x, dtype=float)
@@ -46,6 +70,12 @@ def star(x: np.ndarray, dx: float) -> np.ndarray:
     """The (2d+1, d) star: the centre ``x`` followed by its offset points."""
     x = np.asarray(x, dtype=float)
     return np.vstack([x[None, :], points(x, dx)])
+
+
+def diagonal_points(x: np.ndarray, dx: float) -> np.ndarray:
+    """Diagonal points around each centre: (..., d) -> (..., 2d(d-1), d)."""
+    x = np.asarray(x, dtype=float)
+    return x[..., None, :] + diagonal_offsets(x.shape[-1], dx)
 
 
 def gradient(vals: np.ndarray, dx: float) -> np.ndarray:
@@ -60,6 +90,24 @@ def laplacian(center, vals: np.ndarray, dx: float):
     vals = np.asarray(vals)
     d = vals.shape[-1] // 2
     return (vals.sum(axis=-1) - 2 * d * center) / dx ** 2
+
+
+def hessian(center, vals: np.ndarray, diag: np.ndarray, dx: float) -> np.ndarray:
+    """(..., d, d) Hessian of a scalar field from the centre value, the
+    (..., 2d) offset values and the (..., 2d(d-1)) diagonal values."""
+    center = np.asarray(center)
+    vals, diag = np.asarray(vals), np.asarray(diag)
+    d = vals.shape[-1] // 2
+    hess = np.empty(vals.shape[:-1] + (d, d))
+    for i in range(d):
+        hess[..., i, i] = (vals[..., 2 * i] + vals[..., 2 * i + 1] - 2 * center) / dx ** 2
+    k = 0
+    for i in range(d):
+        for j in range(i + 1, d):
+            pp, pm, mp, mm = (diag[..., k + n] for n in range(4))
+            hess[..., i, j] = hess[..., j, i] = (pp - pm - mp + mm) / (4.0 * dx ** 2)
+            k += 4
+    return hess
 
 
 def jacobian(vals: np.ndarray, dx: float) -> np.ndarray:

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import ORACLE_T_MIN, oracle_model
-from wkb_lab import stencil
+from conftest import ORACLE_T_MIN, logq_characteristic, oracle_model
 from wkb_lab.error_est import (LocalErr, local_err_model_from_derivs,
                                local_err_subtraction_from_values)
-from wkb_lab.likelihood import (FdStencil, _first_order_rhs, logq_pf_batch,
-                                nll_first_order)
+from wkb_lab.likelihood import FdStencil, OuterState, _first_order_rhs, nll_first_order
 from wkb_lab.ode import OdeProblem, solve_adaptive
 from wkb_lab.score import score_div_derivatives
 
@@ -17,8 +15,8 @@ def pipeline(eps: float):
 
 
 def test_subtraction_zero_when_values_agree():
-    vals = np.array([1.0, 1.2, 0.8, 1.1, 0.9])
-    err = local_err_subtraction_from_values(vals, vals, dx=0.01)
+    vals = (np.array([20.0, 10.0]), -3.0)  # (gradient, Laplacian)
+    err = local_err_subtraction_from_values(vals, vals)
     np.testing.assert_array_equal(err.grad_err, 0.0)
     assert err.lap_err == 0.0
 
@@ -52,10 +50,10 @@ def test_model_scheme_on_linear_score_reduces_to_floor():
 
 def test_subtraction_scheme_bounds_small_on_analytic_case():
     _, sched, score = pipeline(0.3)
-    pts = stencil.star(np.array([0.1, 0.0]), 0.01)
-    tight, loose = (logq_pf_batch(score, sched, pts, sched.t_min, tol, FdStencil(0.01))
+    x = np.array([0.1, 0.0])
+    tight, loose = (logq_characteristic(score, sched, x, 0.01, tol)(sched.t_min, x)
                     for tol in (1e-5, 1.1 * 1e-5))
-    err = local_err_subtraction_from_values(tight, loose, dx=0.01)
+    err = local_err_subtraction_from_values(tight, loose)
     assert np.all(err.grad_err < 1e-2)
     assert err.lap_err < 1e-2
 
@@ -78,26 +76,28 @@ def test_zero_local_errors_give_zero_bound():
 
 def test_error_components_nondecreasing_along_integration():
     _, sched, score = pipeline(0.3)
-    rhs = _first_order_rhs(score, sched, FdStencil(0.05), tol_inner=1e-6,
+    x0 = np.array([0.1, -0.05])
+    rhs = _first_order_rhs(score, sched, FdStencil(0.05),
+                           logq_characteristic(score, sched, x0, 0.05, 1e-6),
                            err_scheme="model", logq_err=1e-6)
-    y0 = np.concatenate([[0.1, -0.05], np.zeros(6)])
-    sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, y0,
+    sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, OuterState.initial(x0),
                                     atol=1e-4, rtol=1e-4), record_trace=True)
-    errs = np.array([y[5:] for _, y in sol.dense_trace])
+    errs = np.array([np.append(s.err1, s.err2)
+                     for s in (OuterState.of(y) for _, y in sol.dense_trace)])
     assert np.all(np.diff(errs, axis=0) >= -1e-15)
 
 
 def test_bound_monotone_in_injected_local_error():
     _, sched, score = pipeline(0.3)
-    y0 = np.concatenate([[0.1, -0.05], np.zeros(6)])
+    x0 = np.array([0.1, -0.05])
+    logq_derivs = logq_characteristic(score, sched, x0, 0.05, 1e-6)
     bounds = []
     for floor in (1e-6, 1e-5, 1e-4):
-        rhs = _first_order_rhs(score, sched, FdStencil(0.05), tol_inner=1e-6,
+        rhs = _first_order_rhs(score, sched, FdStencil(0.05), logq_derivs,
                                err_scheme="model", logq_err=floor)
-        sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, y0,
-                                        atol=1e-5, rtol=1e-5))
-        x_T, err1_T, err2_T = sol.y_final[:2], sol.y_final[5:7], sol.y_final[7]
-        bounds.append(float(err1_T @ np.abs(x_T)) + abs(err2_T))
+        sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max,
+                                        OuterState.initial(x0), atol=1e-5, rtol=1e-5))
+        bounds.append(OuterState.of(sol.y_final).err_bound)
     assert bounds[0] < bounds[1] < bounds[2]
 
 

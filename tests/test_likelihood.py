@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import ORACLE_T_MIN, oracle_model
+from conftest import ORACLE_T_MIN, logq_characteristic, oracle_model
+from nested_reference import nested_nll_first_order
 from wkb_lab import stencil
-from wkb_lab.likelihood import (FdStencil, logq_pf, logq_pf_batch, nll_dataset,
-                                nll_first_order, prior_grad, prior_logpdf,
-                                write_nll_table)
+from wkb_lab.data import make_swiss_roll
+from wkb_lab.likelihood import (FdStencil, OuterState, _pf_with_div_rhs, logq_pf,
+                                logq_pf_batch, nll_dataset, nll_first_order, prior_grad,
+                                prior_logpdf, write_nll_table)
+from wkb_lab.ode import OdeProblem, solve_adaptive
+from wkb_lab.schedule import Schedule, ScheduleKind
+from wkb_lab.train import TrainConfig, train
 
 
 def pipeline(eps: float, t_min: float = ORACLE_T_MIN):
@@ -165,3 +170,86 @@ def test_rejects_out_of_window_start():
         logq_pf(score, sched, np.zeros(2), t_start=sched.t_max + 1.0)
     with pytest.raises(ValueError):
         nll_first_order(score, sched, np.zeros(3))
+
+
+def test_characteristic_matches_oracle_along_the_flow():
+    # log q0_t is Gaussian with variance v'_t, so grad log q0_t(x) = -x / v'_t
+    # and its Laplacian is -d / v'_t, anywhere near the trajectory
+    model, sched, score = pipeline(0.3)
+    x0 = np.array([0.12, -0.07])
+    logq_derivs = logq_characteristic(score, sched, x0, 0.05, 1e-8)
+    flow = solve_adaptive(OdeProblem(_pf_with_div_rhs(score, sched, 1, 0.05), sched.t_min,
+                                     sched.t_max, np.append(x0, 0.0), atol=1e-10,
+                                     rtol=1e-10), record_trace=True).dense
+    for t in np.linspace(sched.t_min, sched.t_max, 25):
+        vp = model.vprime_t(0.0, t)
+        x_t = flow(t)[:2]
+        for x in (x_t, x_t + np.array([0.01, -0.02])):
+            grad, lap = logq_derivs(t, x)
+            np.testing.assert_allclose(grad, -x / vp, rtol=1e-5, atol=1e-8)
+            assert lap == pytest.approx(-2.0 / vp, rel=1e-5)
+
+
+def test_outer_state_names_the_layout():
+    y = np.arange(8.0)
+    state = OuterState.of(y)
+    np.testing.assert_array_equal(state.x, [0.0, 1.0])
+    np.testing.assert_array_equal(state.delta_x, [2.0, 3.0])
+    assert state.delta_logq == 4.0
+    np.testing.assert_array_equal(state.err1, [5.0, 6.0])
+    assert state.err2 == 7.0
+    assert state.correction1 == pytest.approx(-(0 * 2 + 1 * 3) + 4.0)
+    assert state.err_bound == pytest.approx(5 * 0 + 6 * 1 + 7.0)
+    np.testing.assert_array_equal(OuterState.initial(np.array([1.5, -2.0])),
+                                  [1.5, -2.0, 0, 0, 0, 0, 0, 0])
+
+
+def _assert_within_nested_bound(score, sched, points):
+    for x in points:
+        new = nll_first_order(score, sched, x, FdStencil(0.01))
+        ref = nested_nll_first_order(score, sched, x)
+        assert abs(new.correction1 - ref.correction1) <= ref.err_bound, \
+            f"{x}: {new.correction1} vs nested {ref.correction1} +- {ref.err_bound}"
+
+
+def test_agrees_with_nested_reference_on_oracle_points():
+    model, sched, score = pipeline(0.3)
+    vp = model.vprime_t(0.0, sched.t_min)
+    rng = np.random.default_rng(17)
+    _assert_within_nested_bound(score, sched, rng.standard_normal((4, 2)) * np.sqrt(vp))
+
+
+@pytest.mark.slow
+def test_agrees_with_nested_reference_on_trained_model():
+    sched = Schedule(kind=ScheduleKind.SIMPLE, beta=20.0, t_min=0.01, t_max=1.0, dim=2)
+    model = train(TrainConfig(epochs=200, batch_size=256, seed=3),
+                  make_swiss_roll(1000, seed=4), sched).model
+    _assert_within_nested_bound(model, sched, make_swiss_roll(4, seed=5).points)
+
+
+class _FailsNear:
+    """The oracle score, raising ValueError on points near ``bad``."""
+
+    def __init__(self, score, bad):
+        self.score, self.bad = score, np.asarray(bad)
+
+    def __call__(self, x, t):
+        if np.any(np.linalg.norm(np.atleast_2d(x) - self.bad, axis=1) < 0.2):
+            raise ValueError("score undefined here")
+        return self.score(x, t)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_dataset_contains_any_exception_of_one_point(threads):
+    _, sched, score = pipeline(0.3)
+    pts = np.array([[0.1, 0.0], [0.0, 0.5], [-0.1, 0.05]])
+    summary = nll_dataset(_FailsNear(score, pts[1]), sched, pts, stencil=FdStencil(0.05),
+                          tol_outer=1e-4, tol_inner=1e-6, threads=threads)
+    assert summary.n_failed == 1 and summary.reports[1] is None
+    assert summary.reports[0] is not None and summary.reports[2] is not None
+
+
+def test_dataset_rejects_unknown_scheme_before_any_point():
+    _, sched, score = pipeline(0.3)
+    with pytest.raises(ValueError):
+        nll_dataset(score, sched, np.zeros((2, 2)), err_scheme="nonsense")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erf
 
 from wkb_lab.errors import NonFinite, StepUnderflow
 from wkb_lab.ode import OdeProblem, solve_adaptive, solve_fixed_rk4
@@ -97,3 +100,66 @@ def test_trace_recording():
     ts = [t for t, _ in sol.dense_trace]
     assert ts[0] == 0.0 and ts[-1] == 1.0
     assert all(t1 > t0 for t0, t1 in zip(ts, ts[1:]))
+
+
+def _oscillator(t, y):
+    return np.array([y[1], -y[0]])
+
+
+def test_retry_after_rejection_restarts_from_the_accepted_state():
+    # a narrow pulse in the decay rate forces rejected steps; a retry that
+    # started from the rejected trial's last stage missed by 12x the tolerance
+    w = 0.02
+    rhs = lambda t, y: -y * (1 + 100 * np.exp(-((t - 0.5) / w) ** 2))
+    exact = np.exp(-1.0 - 100 * w * np.sqrt(np.pi) / 2 * (erf(0.5 / w) + erf(0.5 / w)))
+    for tol in (1e-6, 1e-8):
+        sol = solve_adaptive(OdeProblem(rhs, 0.0, 1.0, np.array([1.0]), atol=tol, rtol=tol))
+        assert abs(sol.y_final[0] - exact) < tol
+
+
+def test_recording_leaves_the_steps_unchanged():
+    problem = OdeProblem(_oscillator, 0.0, 7.0, np.array([1.0, 0.0]), atol=1e-7, rtol=1e-7)
+    plain = solve_adaptive(problem)
+    traced = solve_adaptive(problem, record_trace=True)
+    np.testing.assert_array_equal(plain.y_final, traced.y_final)
+    assert plain.n_steps == traced.n_steps
+    assert plain.dense is None and traced.dense is not None
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 3.0), (3.0, 0.0)])
+def test_dense_output_matches_every_accepted_state(t0, t1):
+    y0 = np.array([1.0, 0.0])
+    sol = solve_adaptive(OdeProblem(_oscillator, t0, t1, y0, atol=1e-6, rtol=1e-6),
+                         record_trace=True)
+    ts = [t for t, _ in sol.dense_trace]
+    for (t_prev, _), (t, y) in zip(sol.dense_trace, sol.dense_trace[1:]):
+        # at the step end from inside the step (theta -> 1) and at the
+        # next step's start (theta = 0)
+        np.testing.assert_allclose(sol.dense(np.nextafter(t, t_prev)), y,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sol.dense(t), y, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(sol.dense(ts[0]), y0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-9.0, -4.0), st.floats(0.2, 3.0), st.floats(0.5, 3.0), st.booleans())
+def test_dense_output_tracks_the_solution_between_steps(log_tol, rate, omega, backward):
+    tol = 10.0 ** log_tol
+    t0, t1 = (4.0, 0.0) if backward else (0.0, 4.0)
+    # decay at ``rate`` and a harmonic oscillator at ``omega``, each with
+    # its exact flow map: between steps the interpolant must stay within the
+    # tolerance's order of the exact solution through the step's start state
+    rot = lambda tau: np.array([[np.cos(omega * tau), np.sin(omega * tau) / omega],
+                                [-omega * np.sin(omega * tau), np.cos(omega * tau)]])
+    problems = ((lambda t, y: -rate * y, lambda tau, y: np.exp(-rate * tau) * y),
+                (lambda t, y: np.array([y[1], -omega ** 2 * y[0]]),
+                 lambda tau, y: rot(tau) @ y))
+    for rhs, flow in problems:
+        y0 = np.array([1.0]) if rhs is problems[0][0] else np.array([1.0, 0.0])
+        sol = solve_adaptive(OdeProblem(rhs, t0, t1, y0, atol=tol, rtol=tol),
+                             record_trace=True)
+        for (ta, ya), (tb, _) in zip(sol.dense_trace, sol.dense_trace[1:]):
+            for t in np.linspace(ta, tb, 7)[1:-1]:
+                want = flow(t - ta, ya)
+                scale = tol * (1.0 + np.max(np.abs(want)))
+                assert np.max(np.abs(sol.dense(t) - want)) < 2 * scale

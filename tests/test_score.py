@@ -7,7 +7,8 @@ from wkb_lab.errors import ArchitectureMismatch, CorruptFile, VersionMismatch
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.score import (AdamState, AnalyticGaussianScore, MlpScore, adam_step,
                            checkpoint_load, checkpoint_save, draw_dsm_noise,
-                           dsm_loss, score_div_derivatives, score_jacobian)
+                           dsm_loss, score_div_derivatives, score_jacobian,
+                           score_second_derivatives)
 
 SCHED = Schedule(kind=ScheduleKind.SIMPLE, beta=20.0, dim=2)
 
@@ -138,6 +139,40 @@ def test_stencil_derivatives_exact_on_linear_score():
     assert div == pytest.approx(2 * coef, rel=1e-12)
     np.testing.assert_allclose(grad_div, 0.0, atol=1e-10)
     assert lap_div == pytest.approx(0.0, abs=1e-8)
+
+
+class _QuadraticScore:
+    """s_k(x) = x.A_k.x / 2 + B_k.x + c_k: every stencil derivative is exact."""
+
+    def __init__(self, d, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(d, d, d))
+        self.a = a + a.transpose(0, 2, 1)
+        self.b, self.c = rng.normal(size=(d, d)), rng.normal(size=d)
+        self.rows = []
+
+    def __call__(self, x, t):
+        x = np.atleast_2d(x)
+        self.rows.append(x.shape[0])
+        return 0.5 * np.einsum("ni,kij,nj->nk", x, self.a, x) + x @ self.b.T + self.c
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_second_derivatives_exact_on_quadratic_score(d):
+    score = _QuadraticScore(d, seed=d)
+    x = np.linspace(-0.5, 0.7, d)
+    s, jac, hess_s, grad_div, hess_div = score_second_derivatives(score, x, 0.3, dx=0.05)
+    assert score.rows == [(2 * d * d + 1) * (2 * d + 1)]  # one call, 45 rows in 2-D
+    np.testing.assert_allclose(s, score(x, 0.3)[0], atol=1e-12)
+    np.testing.assert_allclose(jac, score.a @ x + score.b, atol=1e-10)
+    np.testing.assert_allclose(hess_s, score.a, atol=1e-8)
+    # div s = sum_k (A_k x + B_k)_k is affine, with gradient sum_k A_k[k, :]
+    np.testing.assert_allclose(grad_div, np.einsum("kkj->j", score.a), atol=1e-8)
+    np.testing.assert_allclose(hess_div, 0.0, atol=1e-5)
+    # the first-derivative values agree with the per-call helpers
+    np.testing.assert_allclose(jac, score_jacobian(score, x, 0.3, dx=0.05), atol=1e-12)
+    np.testing.assert_allclose(grad_div, score_div_derivatives(score, x, 0.3, dx=0.05)[1],
+                               atol=1e-8)
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):

@@ -104,3 +104,46 @@ def test_divergence_of_a_stack_matches_each_centre(field, dx, n):
     assert stacked.shape == (n,)
     for k in range(n):
         assert stacked[k] == stencil.divergence(vals[k], dx)
+
+
+def test_diagonal_layout_is_four_sign_pairs_per_axis_pair():
+    np.testing.assert_array_equal(stencil.diagonal_offsets(2, 0.1), [
+        [0.1, 0.1], [0.1, -0.1], [-0.1, 0.1], [-0.1, -0.1]])
+    offs = stencil.diagonal_offsets(3, 1.0)
+    assert offs.shape == (12, 3)
+    pairs = [tuple(np.flatnonzero(row)) for row in offs]
+    assert pairs == [(0, 1)] * 4 + [(0, 2)] * 4 + [(1, 2)] * 4
+    assert stencil.diagonal_offsets(1, 0.1).shape == (0, 1)
+    with pytest.raises(ValueError):
+        stencil.diagonal_offsets(3, 1.0)[0, 0] = 2.0
+    x = np.array([0.5, -1.0, 2.0])
+    np.testing.assert_array_equal(stencil.diagonal_points(x, 1.0), x + offs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratics(), _spacings)
+def test_hessian_exact_on_quadratics(quad, dx):
+    a, b, c, x = quad
+    f = lambda pts: 0.5 * np.einsum("ni,ij,nj->n", pts, a, pts) + pts @ b + c
+    vals = f(stencil.star(x, dx))
+    diag = f(stencil.diagonal_points(x, dx))
+    grad = a @ x + b
+    scale = (np.max(np.abs(np.append(vals, diag)))
+             + np.sum(np.abs(grad)) * (np.max(np.abs(x)) + dx) + 1.0)
+    tol = ROUNDING_ULPS * EPS * scale / dx ** 2
+    hess = stencil.hessian(vals[0], vals[1:], diag, dx)
+    np.testing.assert_allclose(hess, a, rtol=0, atol=tol)
+    np.testing.assert_array_equal(hess, hess.T)
+    # the Laplacian is the Hessian's trace
+    assert abs(np.trace(hess) - stencil.laplacian(vals[0], vals[1:], dx)) <= x.size * tol
+
+
+def test_hessian_of_stacked_fields_matches_each_field():
+    rng = np.random.default_rng(3)
+    centre, vals = rng.normal(size=3), rng.normal(size=(3, 6))
+    diag = rng.normal(size=(3, 12))
+    stacked = stencil.hessian(centre, vals, diag, 0.1)
+    assert stacked.shape == (3, 3, 3)
+    for k in range(3):
+        np.testing.assert_array_equal(stacked[k],
+                                      stencil.hessian(centre[k], vals[k], diag[k], 0.1))
