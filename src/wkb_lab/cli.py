@@ -38,14 +38,8 @@ from .wasserstein import w2_exact
 
 _ENV_SEED = "WKB_LAB_SEED"
 
-_SCHEMA = {
-    "dataset": {"name": str, "n": int, "seed": int},
-    "schedule": {"kind": str, "beta": float, "t_min": float, "t_max": float},
-    "train": {"epochs": int, "batch": int, "lr": float, "seed": int},
-    "nll": {"dx": float, "tol_outer": float, "tol_inner": float, "n_points": int},
-    "sweep": {"h_values": str, "trials": int, "n_samples": int},
-}
-
+# Every config key with its default; a value read from a file takes the
+# default's type.
 _DEFAULTS = {
     "dataset": {"name": "swiss-roll", "n": 3000, "seed": 7},
     "schedule": {"kind": "simple", "beta": 20.0, "t_min": 0.01, "t_max": 1.0},
@@ -65,8 +59,8 @@ class RunConfig:
 
     def echo(self) -> dict:
         out = {}
-        for section in _SCHEMA:
-            for key, val in getattr(self, section.replace("-", "_")).items():
+        for section in _DEFAULTS:
+            for key, val in getattr(self, section).items():
                 out[f"{section}.{key}"] = val
         return out
 
@@ -80,13 +74,13 @@ def load_config(path: str | None) -> RunConfig:
         if not read:
             raise ConfigError(f"config file not found: {path}")
         for section in parser.sections():
-            if section not in _SCHEMA:
+            if section not in _DEFAULTS:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, raw in parser.items(section):
-                if key not in _SCHEMA[section]:
+                if key not in _DEFAULTS[section]:
                     raise ConfigError(f"unknown key {section}.{key}")
                 try:
-                    sections[section][key] = _SCHEMA[section][key](raw)
+                    sections[section][key] = type(_DEFAULTS[section][key])(raw)
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
     cfg = RunConfig(**sections)
@@ -103,17 +97,15 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    ds, sc, tr, nl, sw = cfg.dataset, cfg.schedule, cfg.train, cfg.nll, cfg.sweep
+    ds, tr, nl, sw = cfg.dataset, cfg.train, cfg.nll, cfg.sweep
     if ds["name"] not in ("swiss-roll", "25-gaussian"):
         raise ConfigError(f"unknown dataset {ds['name']!r}")
     if ds["n"] < 1:
         raise ConfigError("dataset.n must be >= 1")
     try:
-        ScheduleKind(sc["kind"])
+        _make_schedule(cfg)
     except ValueError as exc:
-        raise ConfigError(f"unknown schedule kind {sc['kind']!r}") from exc
-    if not (sc["beta"] > 0 and 0 < sc["t_min"] < 1 and sc["t_max"] > sc["t_min"]):
-        raise ConfigError("schedule parameters out of range")
+        raise ConfigError(f"bad schedule: {exc}") from exc
     if tr["epochs"] < 0 or tr["batch"] < 1 or tr["lr"] <= 0:
         raise ConfigError("train parameters out of range")
     if nl["dx"] <= 0 or nl["tol_outer"] <= 0 or nl["tol_inner"] <= 0 or nl["n_points"] < 1:
@@ -312,12 +304,14 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False):
+    # each command takes only the flags it reads
+    def common(p, checkpoint=False, threads=False):
         p.add_argument("--config", default=None, help="INI run-config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1)
         if checkpoint:
             p.add_argument("--checkpoint", default=None)
+        if threads:
+            p.add_argument("--threads", type=int, default=1, help="worker processes")
 
     p = sub.add_parser("gen-data", help="write the configured dataset")
     common(p)
@@ -337,7 +331,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("nll", help="likelihood table with corrections")
-    common(p, checkpoint=True)
+    common(p, checkpoint=True, threads=True)
     p.add_argument("--dx", type=float, default=None)
     p.add_argument("--tol-outer", type=float, default=None)
     p.add_argument("--tol-inner", type=float, default=None)
@@ -345,11 +339,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_nll)
 
     p = sub.add_parser("w2-sweep", help="W2 vs noise strength")
-    common(p, checkpoint=True)
+    common(p, checkpoint=True, threads=True)
     p.set_defaults(func=cmd_w2_sweep)
 
     p = sub.add_parser("gaussian", help="closed-form oracle curves")
-    common(p)
+    p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--v0", type=float, default=2.0)
     p.add_argument("--eps", type=float, default=0.3)
@@ -358,7 +352,6 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_gaussian)
 
     p = sub.add_parser("verify", help="run the oracle/property checks")
-    common(p)
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

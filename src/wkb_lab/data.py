@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ParseError
 
 GRID_NORM = np.sqrt(8.0)  # population std of the 5x5 mean grid {-4,-2,0,2,4}^2
+_COMPONENT_STD = 0.05  # std of each grid component before normalization
 
 
 @dataclass
@@ -63,7 +64,7 @@ def make_swiss_roll(n: int, noise: float = 0.5, seed: int = 0) -> PointCloud:
     return PointCloud(points=pts, name="swiss-roll", seed=seed, norm_constant=std)
 
 
-def make_25gaussian(n: int, seed: int = 0, component_std: float = 0.05) -> PointCloud:
+def make_25gaussian(n: int, seed: int = 0) -> PointCloud:
     """Equal-weight mixture of 25 isotropic Gaussians on {-4,-2,0,2,4}^2,
     divided by the fixed constant sqrt(8)."""
     if n < 1:
@@ -72,7 +73,7 @@ def make_25gaussian(n: int, seed: int = 0, component_std: float = 0.05) -> Point
     axis = np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
     means = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
     comp = rng.integers(0, 25, size=n)
-    pts = means[comp] + component_std * rng.standard_normal((n, 2))
+    pts = means[comp] + _COMPONENT_STD * rng.standard_normal((n, 2))
     pts = pts / GRID_NORM
     return PointCloud(points=pts, name="25-gaussian", seed=seed, norm_constant=float(GRID_NORM))
 

@@ -28,9 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Constant multiplying the inner-solver error estimate in the floor terms.
-_ERR_CONST = 1.0
-
 
 @dataclass
 class LocalErr:
@@ -46,7 +43,7 @@ class LocalErr:
 
 def local_err_model_from_derivs(grad_div_s: np.ndarray, lap_div_s: float,
                                 dx: float, logq_err: float) -> LocalErr:
-    floor = _ERR_CONST * abs(logq_err)
+    floor = abs(logq_err)
     grad = np.abs(grad_div_s) * dx ** 2 + floor / dx
     lap = abs(lap_div_s) * dx ** 2 + floor / dx ** 2
     return LocalErr(grad_err=grad, lap_err=float(lap))

@@ -43,7 +43,7 @@ import numpy as np
 from .error_est import (LocalErr, local_err_model_from_derivs,
                         local_err_subtraction_from_values)
 from .errors import WkbLabError
-from .ode import OdeProblem, solve_adaptive, solve_fixed_rk4
+from .ode import OdeProblem, solve_adaptive
 from .schedule import Schedule
 from .score import (score_batch, score_div_derivatives, score_jacobian,
                     score_second_derivatives)
@@ -68,8 +68,6 @@ class NllReport:
     log_q0: float
     correction1: float
     err_bound: float
-    x_T: np.ndarray
-    delta_x_T: np.ndarray
 
 
 def prior_logpdf(x) -> float | np.ndarray:
@@ -120,7 +118,7 @@ def _zeroth_order_solve(score, schedule: Schedule, xs: np.ndarray, t_start: floa
     y0 = np.concatenate([xs.ravel(), np.zeros(m)])
     sol = solve_adaptive(OdeProblem(
         rhs=_pf_with_div_rhs(score, schedule, m, stencil.dx),
-        t0=t_start, t1=schedule.t_max, y0=y0, atol=tol, rtol=tol))
+        t0=t_start, t1=schedule.t_max, y0=y0, tol=tol))
     x_T = sol.y_final[: m * d].reshape(m, d)
     ell = sol.y_final[m * d:]
     return prior_logpdf(x_T) + ell, x_T
@@ -175,7 +173,7 @@ def _logq_characteristic(score, schedule: Schedule, x_T: np.ndarray, tol: float,
     z_T = np.concatenate([x_T, prior_grad(x_T), -np.eye(d).ravel()])
     dense = solve_adaptive(OdeProblem(
         rhs=_characteristic_rhs(score, schedule, stencil.dx),
-        t0=schedule.t_max, t1=schedule.t_min, y0=z_T, atol=tol, rtol=tol),
+        t0=schedule.t_max, t1=schedule.t_min, y0=z_T, tol=tol),
         record_trace=True).dense
 
     def derivs(t: float, x: np.ndarray):
@@ -272,8 +270,7 @@ def _first_order_rhs(score, schedule: Schedule, stencil: FdStencil, logq_derivs,
 def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
                     stencil: FdStencil | None = None,
                     tol_outer: float = 1e-3, tol_inner: float = 1e-5,
-                    err_scheme: str | None = "model",
-                    fixed_steps: int | None = None) -> NllReport:
+                    err_scheme: str | None = "model") -> NllReport:
     """Zeroth-order log-likelihood plus the first-order noise coefficient.
 
     Three passes per point.  The zeroth-order solve from t_min to t_max at
@@ -281,8 +278,7 @@ def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
     solve at ``tol_inner`` carries grad log q0_t and its Hessian down the
     flow (``_logq_characteristic``).  The coupled (x, sensitivity,
     divergence accumulator, error-bound) system then runs from t_min to
-    t_max, adaptive at ``tol_outer`` unless ``fixed_steps`` selects the
-    uniform RK4 grid.  ``err_scheme`` picks the local-error estimator
+    t_max at ``tol_outer``.  ``err_scheme`` picks the local-error estimator
     ("model" from score derivatives, "subtraction" from a second backward
     solve at ``1.1 * tol_inner``, or None to skip and report 0).  The model
     scheme's solver floor is measured once per point as the zeroth-order
@@ -309,14 +305,11 @@ def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
     y0 = OuterState.initial(x0)
     rhs = _first_order_rhs(score, schedule, stencil, logq_derivs, err_scheme, logq_err,
                            loose_derivs)
-    if fixed_steps is None:
-        sol = solve_adaptive(OdeProblem(rhs=rhs, t0=schedule.t_min, t1=schedule.t_max,
-                                        y0=y0, atol=tol_outer, rtol=tol_outer))
-    else:
-        sol = solve_fixed_rk4(rhs, schedule.t_min, schedule.t_max, y0, fixed_steps)
+    sol = solve_adaptive(OdeProblem(rhs=rhs, t0=schedule.t_min, t1=schedule.t_max,
+                                    y0=y0, tol=tol_outer))
     state = OuterState.of(sol.y_final)
     return NllReport(log_q0=log_q0, correction1=state.correction1,
-                     err_bound=state.err_bound, x_T=state.x, delta_x_T=state.delta_x)
+                     err_bound=state.err_bound)
 
 
 # -- dataset aggregation --------------------------------------------------------
@@ -352,8 +345,7 @@ def _point_job(args):
 
 def nll_dataset(score, schedule: Schedule, cloud, stencil: FdStencil | None = None,
                 tol_outer: float = 1e-3, tol_inner: float = 1e-5,
-                err_scheme: str | None = "model", n_points: int | None = None,
-                threads: int = 1) -> NllSummary:
+                err_scheme: str | None = "model", threads: int = 1) -> NllSummary:
     """Per-point first-order reports over a point cloud, aggregated.
 
     Failed points (solver blow-ups, or anything else a point raises) are
@@ -363,8 +355,6 @@ def nll_dataset(score, schedule: Schedule, cloud, stencil: FdStencil | None = No
     if err_scheme not in _ERR_SCHEMES:
         raise ValueError(f"unknown error scheme {err_scheme!r}")
     pts = np.atleast_2d(np.asarray(getattr(cloud, "points", cloud), dtype=float))
-    if n_points is not None:
-        pts = pts[:n_points]
     jobs = [(score, schedule, x, stencil, tol_outer, tol_inner, err_scheme)
             for x in pts]
     if threads > 1:

@@ -1,9 +1,9 @@
-"""Explicit ODE integration: adaptive Dormand-Prince 5(4) and fixed-grid RK4.
+"""Explicit ODE integration: adaptive Dormand-Prince 5(4).
 
-The adaptive solver is the workhorse behind samplers, likelihood solves and
-error propagation.  It integrates in either time direction (the direction is
+The solver is the workhorse behind samplers, likelihood solves and error
+propagation.  It integrates in either time direction (the direction is
 taken from the sign of ``t1 - t0``), controls the local error per step
-against ``atol + rtol * |y|`` and uses a PI controller for the step size.
+against ``tol + tol * |y|`` and uses a PI controller for the step size.
 """
 
 from __future__ import annotations
@@ -52,30 +52,27 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
+# A state entry beyond this magnitude is a genuine blow-up: with relative
+# error control a diverging solution would otherwise be chased indefinitely.
+_MAX_NORM = 1e8
 
 
 @dataclass
 class OdeProblem:
-    """Initial-value problem ``dy/dt = rhs(t, y)`` from t0 to t1.
-
-    ``max_norm`` fails the solve early once the state magnitude shows a
-    genuine blow-up; with purely relative error control a diverging
-    solution would otherwise be chased indefinitely.
-    """
+    """Initial-value problem ``dy/dt = rhs(t, y)`` from t0 to t1, solved to
+    the absolute and relative local-error tolerance ``tol``."""
 
     rhs: Rhs
     t0: float
     t1: float
     y0: np.ndarray
-    atol: float = 1e-5
-    rtol: float = 1e-5
+    tol: float = 1e-5
     max_steps: int = 1_000_000
-    max_norm: float = 1e8
 
     def __post_init__(self):
         self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
-        if not (self.atol > 0.0 and self.rtol > 0.0):
-            raise ValueError("atol and rtol must be positive")
+        if not self.tol > 0.0:
+            raise ValueError("tol must be positive")
         if not np.all(np.isfinite(self.y0)):
             raise NonFinite("initial state is not finite")
 
@@ -84,24 +81,24 @@ class DenseOutput:
     """Continuous extension of an adaptive solve: ``y(t)`` anywhere in its span.
 
     Holds, per accepted step, its start time ``t_start``, signed size
-    ``h``, start state and interpolation coefficients ``q`` (``k.T @ _P``).
+    ``h``, start state ``y_start`` and interpolation coefficients ``q``
+    (``k.T @ _P``); the solve's end state is ``OdeSolution.y_final``.
     """
 
     def __init__(self, t_start, h, y_start, q):
+        self.t_start = np.asarray(t_start, dtype=float)
         self.h = np.asarray(h, dtype=float)
         self.y_start = np.asarray(y_start, dtype=float)
         self.q = np.asarray(q, dtype=float)
-        t_start = np.asarray(t_start, dtype=float)
         # breakpoints in increasing order, whichever way the solve ran
         self._forward = bool(self.h[0] > 0.0)
-        self._t_start = t_start
-        self._breaks = t_start[1:] if self._forward else t_start[:0:-1]
+        self._breaks = self.t_start[1:] if self._forward else self.t_start[:0:-1]
 
     def __call__(self, t: float) -> np.ndarray:
         i = int(np.searchsorted(self._breaks, t, side="right"))
         if not self._forward:
             i = self.h.size - 1 - i
-        theta = (t - self._t_start[i]) / self.h[i]
+        theta = (t - self.t_start[i]) / self.h[i]
         powers = theta ** np.arange(1, 5)
         return self.y_start[i] + self.h[i] * (self.q[i] @ powers)
 
@@ -111,20 +108,20 @@ class OdeSolution:
     t_final: float
     y_final: np.ndarray
     n_steps: int
-    dense_trace: list[tuple[float, np.ndarray]] | None = field(default=None, repr=False)
     dense: DenseOutput | None = field(default=None, repr=False)
 
 
 def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray,
-                atol: float, rtol: float) -> float:
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
+                tol: float) -> float:
+    # a sum, not tol * (1 + |y|): that would round differently in every solve
+    scale = tol + tol * np.maximum(np.abs(y_old), np.abs(y_new))
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
 def _initial_step(rhs: Rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
-                  direction: float, span: float, atol: float, rtol: float) -> float:
+                  direction: float, span: float, tol: float) -> float:
     # Hairer-Norsett-Wanner II.4 starting-step heuristic.
-    scale = atol + rtol * np.abs(y0)
+    scale = tol + tol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 * span if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
@@ -142,9 +139,9 @@ def _initial_step(rhs: Rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
 def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSolution:
     """Integrate with the embedded 5(4) pair and PI step control.
 
-    ``record_trace`` keeps the state after every accepted step in
-    ``dense_trace`` and the continuous extension over the whole span in
-    ``dense``; it does not change the steps or their arithmetic.
+    ``record_trace`` returns the continuous extension over the whole span
+    in ``dense``, which also holds every accepted step's start time and
+    state; it does not change the steps or their arithmetic.
 
     Raises
     ------
@@ -157,8 +154,7 @@ def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSoluti
     y = problem.y0.copy()
     span = abs(t1 - t0)
     if span == 0.0:
-        trace = [(t0, y.copy())] if record_trace else None
-        return OdeSolution(t_final=t1, y_final=y, n_steps=0, dense_trace=trace)
+        return OdeSolution(t_final=t1, y_final=y, n_steps=0)
     direction = 1.0 if t1 > t0 else -1.0
 
     rhs = problem.rhs
@@ -166,13 +162,9 @@ def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSoluti
     f = np.asarray(rhs(t, y), dtype=float)
     if not np.all(np.isfinite(f)):
         raise NonFinite(f"rhs not finite at t={t}")
-    h = _initial_step(rhs, t, y, f, direction, span, problem.atol, problem.rtol)
+    h = _initial_step(rhs, t, y, f, direction, span, problem.tol)
     min_step = 1e-14 * span
-
-    trace: list[tuple[float, np.ndarray]] | None = None
-    if record_trace:
-        trace = [(t, y.copy())]
-        steps: list[tuple[float, float, np.ndarray, np.ndarray]] = []
+    steps: list[tuple[float, float, np.ndarray, np.ndarray]] = []
 
     k = np.empty((7, y.size))
     err_prev = 1e-4
@@ -191,11 +183,11 @@ def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSoluti
         y_new = y + hd * (k.T @ _B5)
         if not np.all(np.isfinite(y_new)):
             raise NonFinite(f"state not finite after step at t={t}")
-        if np.max(np.abs(y_new)) > problem.max_norm:
-            raise NonFinite(f"state norm exceeded {problem.max_norm:g} at t={t} "
+        if np.max(np.abs(y_new)) > _MAX_NORM:
+            raise NonFinite(f"state norm exceeded {_MAX_NORM:g} at t={t} "
                             f"(diverging trajectory)")
         err_vec = hd * (k.T @ _E)
-        err = _error_norm(err_vec, y, y_new, problem.atol, problem.rtol)
+        err = _error_norm(err_vec, y, y_new, problem.tol)
 
         if err <= 1.0:
             if record_trace:
@@ -203,8 +195,6 @@ def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSoluti
             t = t1 if abs(t1 - (t + hd)) <= min_step else t + hd
             y = y_new
             f = k[6].copy()  # FSAL; a copy, since a rejected next step rewrites k
-            if record_trace:
-                trace.append((t, y.copy()))
             factor = _SAFETY * (err + 1e-16) ** (-_PI_ALPHA) * (err_prev + 1e-16) ** _PI_BETA
             err_prev = max(err, 1e-10)
         else:
@@ -213,32 +203,4 @@ def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSoluti
         n_steps += 1
 
     dense = DenseOutput(*zip(*steps)) if record_trace else None
-    return OdeSolution(t_final=t1, y_final=y, n_steps=n_steps, dense_trace=trace,
-                       dense=dense)
-
-
-def solve_fixed_rk4(rhs: Rhs, t0: float, t1: float, y0: np.ndarray,
-                    n_steps: int, record_trace: bool = False) -> OdeSolution:
-    """Classical RK4 on a uniform grid; deterministic step sequence."""
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    t0, t1 = float(t0), float(t1)
-    trace: list[tuple[float, np.ndarray]] | None = None
-    if record_trace:
-        trace = [(t0, y.copy())]
-    if t1 == t0 or n_steps == 0:
-        return OdeSolution(t_final=t1, y_final=y, n_steps=0, dense_trace=trace)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    ts = np.linspace(t0, t1, n_steps + 1)
-    for i in range(n_steps):
-        t, h = ts[i], ts[i + 1] - ts[i]
-        k1 = np.asarray(rhs(t, y), dtype=float)
-        k2 = np.asarray(rhs(t + h / 2, y + h / 2 * k1), dtype=float)
-        k3 = np.asarray(rhs(t + h / 2, y + h / 2 * k2), dtype=float)
-        k4 = np.asarray(rhs(t + h, y + h * k3), dtype=float)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise NonFinite(f"state not finite after step at t={ts[i + 1]}")
-        if record_trace:
-            trace.append((ts[i + 1], y.copy()))
-    return OdeSolution(t_final=t1, y_final=y, n_steps=n_steps, dense_trace=trace)
+    return OdeSolution(t_final=t1, y_final=y, n_steps=n_steps, dense=dense)

@@ -31,7 +31,6 @@ class SamplerConfig:
     h: float = 0.0
     n_steps: int = 1000
     seed: int = 0
-    tol: float = 1e-5
 
     def __post_init__(self):
         if self.h < 0.0:
@@ -160,7 +159,7 @@ def sample_ode(score, schedule: Schedule, n: int, tol: float = 1e-5, seed: int =
         return pf_drift(score, schedule, x, t).ravel()
 
     sol = solve_adaptive(OdeProblem(rhs=rhs, t0=schedule.t_max, t1=schedule.t_min,
-                                    y0=latents.ravel(), atol=tol, rtol=tol))
+                                    y0=latents.ravel(), tol=tol))
     return PointCloud(points=sol.y_final.reshape(-1, d), name="pf-ode", seed=seed)
 
 

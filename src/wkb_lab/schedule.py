@@ -53,11 +53,11 @@ class Schedule:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ScheduleKind(self.kind))
-        if self.beta <= 0.0:
+        if not self.beta > 0.0:  # also rejects NaN
             raise ValueError("beta must be positive")
         if not (0.0 < self.t_min < 1.0):
             raise ValueError("t_min must lie in (0, 1)")
-        if self.t_max <= self.t_min:
+        if not self.t_max > self.t_min:
             raise ValueError("t_max must exceed t_min")
         if self.kind is ScheduleKind.COSINE and self.t_max >= 1.0 - _COSINE_POLE_MARGIN:
             raise ValueError("cosine schedule requires t_max < 1 - 1e-9 (tan pole)")

@@ -71,8 +71,8 @@ class MlpScore:
         self.weights, self.biases = views[0::2], views[1::2]
 
     @classmethod
-    def create(cls, dim: int, seed: int = 0, hidden: int = _HIDDEN) -> "MlpScore":
-        widths = [dim + 1] + [hidden] * _N_HIDDEN + [dim]
+    def create(cls, dim: int, seed: int = 0) -> "MlpScore":
+        widths = [dim + 1] + [_HIDDEN] * _N_HIDDEN + [dim]
         shapes = list(zip(widths[:-1], widths[1:]))
         parts = []
         for i, (fan_in, fan_out) in enumerate(shapes):
@@ -234,8 +234,7 @@ def draw_dsm_noise(n: int, dim: int, schedule: Schedule, rng_seed,
 
 
 def dsm_loss(model, batch, schedule: Schedule, rng_seed,
-             time_grid_size: int = _TIME_GRID_DEFAULT,
-             with_grads: bool | None = None) -> DsmLoss:
+             time_grid_size: int = _TIME_GRID_DEFAULT) -> DsmLoss:
     """Monte Carlo denoising loss and (for MLP models) its parameter gradient.
 
     Each batch item draws a time t_i uniformly from the discretized grid and
@@ -256,7 +255,7 @@ def dsm_loss(model, batch, schedule: Schedule, rng_seed,
     xt = alpha[:, None] * x0 + np.sqrt(sig2)[:, None] * zs
     target = zs / np.sqrt(sig2)[:, None]  # (x_t - alpha x_0) / sigma^2
 
-    want_grads = isinstance(model, MlpScore) if with_grads is None else with_grads
+    want_grads = isinstance(model, MlpScore)
     if want_grads:
         s, cache = model._forward(xt, ts, keep_cache=True)
     else:

@@ -61,7 +61,7 @@ def run_verification(stream) -> list[str]:
         tgrid = np.linspace(T, 0.0, 13)
         y = np.array([model.v_t(T)])
         for t0, t1 in zip(tgrid[:-1], tgrid[1:]):
-            y = solve_adaptive(OdeProblem(rhs, t0, t1, y, atol=1e-12, rtol=1e-12)).y_final
+            y = solve_adaptive(OdeProblem(rhs, t0, t1, y, tol=1e-12)).y_final
             worst = max(worst, abs(float(y[0]) - model.vprime_t(h, t1)))
     check("vprime_closed_form_vs_ode", worst, 1e-8)
 
@@ -147,8 +147,8 @@ def run_verification(stream) -> list[str]:
 
     # ODE reversibility on the linear test problem
     lin = lambda t, y: -y
-    fwd = solve_adaptive(OdeProblem(lin, 0.0, 1.0, np.array([1.0]), atol=1e-8, rtol=1e-8))
-    back = solve_adaptive(OdeProblem(lin, 1.0, 0.0, fwd.y_final, atol=1e-8, rtol=1e-8))
+    fwd = solve_adaptive(OdeProblem(lin, 0.0, 1.0, np.array([1.0]), tol=1e-8))
+    back = solve_adaptive(OdeProblem(lin, 1.0, 0.0, fwd.y_final, tol=1e-8))
     check("ode_reversibility", abs(float(back.y_final[0]) - 1.0), 100 * 2e-8)
 
     stream.write(f"{'FAILED' if failures else 'PASSED'} "

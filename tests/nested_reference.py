@@ -57,5 +57,5 @@ def nested_nll_first_order(score, schedule, x0, dx: float = 0.01,
     loose = logq_pf(score, schedule, x0, schedule.t_min, 1.1 * tol_inner)
     rhs = nested_first_order_rhs(score, schedule, dx, tol_inner, abs(loose - log_q0))
     sol = solve_adaptive(OdeProblem(rhs, schedule.t_min, schedule.t_max,
-                                    OuterState.initial(x0), atol=tol_outer, rtol=tol_outer))
+                                    OuterState.initial(x0), tol=tol_outer))
     return OuterState.of(sol.y_final)

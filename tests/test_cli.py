@@ -152,3 +152,34 @@ def test_rerun_reproduces_outputs(mini_config, tmp_path):
         main(["gen-data", "--config", mini_config, "--out", str(out)])
         outs.append((out / "swiss-roll.tsv").read_text())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--threads", "2"],
+    ["verify", "--config", "x.ini"],
+    ["verify", "--out", "out"],
+    ["gaussian", "--config", "x.ini"],
+    ["gaussian", "--threads", "2"],
+    ["gen-data", "--threads", "2"],
+    ["train", "--threads", "2"],
+    ["sample", "--threads", "2"],
+])
+def test_command_rejects_a_flag_it_does_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("schedule", [
+    "kind = cosine\nt_max = 1.0",  # the tangent pole
+    "kind = simple\nt_max = nan",
+    "kind = simple\nbeta = nan",
+    "kind = quadratic",
+])
+def test_bad_schedule_is_a_config_error(tmp_path, capsys, schedule):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[schedule]\n{schedule}\n")
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: bad schedule: ")

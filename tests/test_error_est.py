@@ -81,9 +81,9 @@ def test_error_components_nondecreasing_along_integration():
                            logq_characteristic(score, sched, x0, 0.05, 1e-6),
                            err_scheme="model", logq_err=1e-6)
     sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, OuterState.initial(x0),
-                                    atol=1e-4, rtol=1e-4), record_trace=True)
-    errs = np.array([np.append(s.err1, s.err2)
-                     for s in (OuterState.of(y) for _, y in sol.dense_trace)])
+                                    tol=1e-4), record_trace=True)
+    states = np.vstack([sol.dense.y_start, sol.y_final])
+    errs = np.array([np.append(s.err1, s.err2) for s in map(OuterState.of, states)])
     assert np.all(np.diff(errs, axis=0) >= -1e-15)
 
 
@@ -96,7 +96,7 @@ def test_bound_monotone_in_injected_local_error():
         rhs = _first_order_rhs(score, sched, FdStencil(0.05), logq_derivs,
                                err_scheme="model", logq_err=floor)
         sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max,
-                                        OuterState.initial(x0), atol=1e-5, rtol=1e-5))
+                                        OuterState.initial(x0), tol=1e-5))
         bounds.append(OuterState.of(sol.y_final).err_bound)
     assert bounds[0] < bounds[1] < bounds[2]
 

@@ -41,7 +41,7 @@ def _vprime_by_ode(model: GaussianModel, h: float, t_eval):
     y = np.array([model.v_t(model.T)])
     t_prev = model.T
     for t in sorted(t_eval, reverse=True):
-        y = solve_adaptive(OdeProblem(rhs, t_prev, t, y, atol=1e-12, rtol=1e-12)).y_final
+        y = solve_adaptive(OdeProblem(rhs, t_prev, t, y, tol=1e-12)).y_final
         out.append((t, float(y[0])))
         t_prev = t
     return dict(out)
@@ -121,11 +121,27 @@ def test_dnll_dh_flat_at_exact_score():
     assert abs(model.dnll_dh_at0()) < 1e-12
 
 
+def _richardson_dh(f, step):
+    """Richardson-extrapolated central difference of f at h = 0."""
+    central = lambda d: (f(d) - f(-d)) / (2.0 * d)
+    return (4.0 * central(step / 2) - central(step)) / 3.0
+
+
 def test_dnll_dh_sign_and_step_stability():
-    d1 = BASE.dnll_dh_at0(step=1e-4)
-    d2 = BASE.dnll_dh_at0(step=5e-5)
-    assert d1 < 0.0  # matches the observed decreasing nll(h)
-    assert abs(d1 - d2) < 1e-6
+    exact = BASE.dnll_dh_at0()
+    assert exact < 0.0  # matches the observed decreasing nll(h)
+    for step in (1e-3, 1e-4):
+        assert abs(_richardson_dh(BASE.nll, step) - exact) < 1e-9
+
+
+def test_dlogq0_dh_matches_richardson_difference():
+    model = GaussianModel(beta=4.0, v0=2.0, epsilon=0.3, T=4.0)
+    rng = np.random.default_rng(5)
+    for x in rng.standard_normal((20, 2)) * np.sqrt(model.v0):
+        for t in (0.0, 0.01, 1.0):
+            ref = _richardson_dh(lambda h: model.logq0(x, h=h, t=t), 1e-5)
+            got = model.dlogq0_dh_at0(x, t=t)
+            assert abs(got - ref) < 1e-9 * max(1.0, abs(ref))
 
 
 def test_curve_emitter_shapes():

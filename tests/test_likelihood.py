@@ -89,7 +89,7 @@ def test_first_order_matches_closed_form_h_derivative():
         rep = nll_first_order(score, sched, x, FdStencil(0.05),
                               tol_outer=1e-6, tol_inner=1e-7)
         oracle = model.dlogq0_dh_at0(x, t=sched.t_min)
-        assert abs(rep.correction1 - oracle) / abs(oracle) < 0.05
+        assert abs(rep.correction1 - oracle) / abs(oracle) < 1e-4
 
 
 def test_first_order_stable_under_stencil_halving():
@@ -99,17 +99,6 @@ def test_first_order_stable_under_stencil_halving():
                             tol_outer=1e-6, tol_inner=1e-7).correction1
             for dx in (0.02, 0.01)]
     assert abs(reps[0] - reps[1]) / abs(reps[1]) < 0.02
-
-
-def test_first_order_fixed_step_agrees_with_adaptive():
-    model, sched, score = pipeline(0.3)
-    x = np.array([0.1, 0.05])
-    ad = nll_first_order(score, sched, x, FdStencil(0.05),
-                         tol_outer=1e-6, tol_inner=1e-7)
-    fx = nll_first_order(score, sched, x, FdStencil(0.05),
-                         tol_inner=1e-7, fixed_steps=400)
-    assert abs(ad.correction1 - fx.correction1) / abs(ad.correction1) < 0.01
-    assert abs(ad.log_q0 - fx.log_q0) < 1e-5
 
 
 def test_batch_solver_matches_single_solves():
@@ -179,8 +168,8 @@ def test_characteristic_matches_oracle_along_the_flow():
     x0 = np.array([0.12, -0.07])
     logq_derivs = logq_characteristic(score, sched, x0, 0.05, 1e-8)
     flow = solve_adaptive(OdeProblem(_pf_with_div_rhs(score, sched, 1, 0.05), sched.t_min,
-                                     sched.t_max, np.append(x0, 0.0), atol=1e-10,
-                                     rtol=1e-10), record_trace=True).dense
+                                     sched.t_max, np.append(x0, 0.0), tol=1e-10),
+                          record_trace=True).dense
     for t in np.linspace(sched.t_min, sched.t_max, 25):
         vp = model.vprime_t(0.0, t)
         x_t = flow(t)[:2]

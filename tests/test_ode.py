@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from wkb_lab.errors import NonFinite, StepUnderflow
-from wkb_lab.ode import OdeProblem, solve_adaptive, solve_fixed_rk4
+from rk4_reference import solve_fixed_rk4
+from wkb_lab.ode import OdeProblem, solve_adaptive
 
 
 def test_constant_rhs_zero_is_exact():
@@ -16,40 +17,40 @@ def test_constant_rhs_zero_is_exact():
 
 def test_linear_decay_matches_closed_form():
     sol = solve_adaptive(OdeProblem(lambda t, y: -y, 0.0, 1.0, np.array([1.0]),
-                                    atol=1e-8, rtol=1e-8))
+                                    tol=1e-8))
     assert abs(sol.y_final[0] - np.exp(-1.0)) < 1e-7
 
 
 def test_harmonic_oscillator_energy_drift():
     rhs = lambda t, y: np.array([y[1], -y[0]])
     sol = solve_adaptive(OdeProblem(rhs, 0.0, 2 * np.pi, np.array([1.0, 0.0]),
-                                    atol=1e-8, rtol=1e-8))
+                                    tol=1e-8))
     energy = 0.5 * (sol.y_final[0] ** 2 + sol.y_final[1] ** 2)
     assert abs(energy - 0.5) < 1e-6
 
 
 def test_backward_integration():
     sol = solve_adaptive(OdeProblem(lambda t, y: -y, 1.0, 0.0,
-                                    np.array([np.exp(-1.0)]), atol=1e-9, rtol=1e-9))
+                                    np.array([np.exp(-1.0)]), tol=1e-9))
     assert abs(sol.y_final[0] - 1.0) < 1e-7
 
 
 def test_reversibility_linear_problem():
     tol = 1e-8
     y0 = np.array([1.0, -0.5])
-    fwd = solve_adaptive(OdeProblem(lambda t, y: -y, 0.0, 1.0, y0, atol=tol, rtol=tol))
+    fwd = solve_adaptive(OdeProblem(lambda t, y: -y, 0.0, 1.0, y0, tol=tol))
     back = solve_adaptive(OdeProblem(lambda t, y: -y, 1.0, 0.0, fwd.y_final,
-                                     atol=tol, rtol=tol))
+                                     tol=tol))
     assert np.max(np.abs(back.y_final - y0)) < 100 * tol
 
 
 def test_adaptive_agrees_with_fixed_rk4():
     rhs = lambda t, y: np.array([np.sin(t) * y[0] - 0.2 * y[1], y[0] * 0.3])
     y0 = np.array([1.0, 0.5])
-    atol = rtol = 1e-5
-    ad = solve_adaptive(OdeProblem(rhs, 0.0, 2.0, y0, atol=atol, rtol=rtol))
+    tol = 1e-5
+    ad = solve_adaptive(OdeProblem(rhs, 0.0, 2.0, y0, tol=tol))
     fx = solve_fixed_rk4(rhs, 0.0, 2.0, y0, n_steps=2000)
-    bound = 10 * (atol + rtol * np.abs(fx.y_final))
+    bound = 10 * (tol + tol * np.abs(fx.y_final))
     assert np.all(np.abs(ad.y_final - fx.y_final) < bound)
 
 
@@ -86,20 +87,28 @@ def test_step_budget_exhaustion_raises():
     rhs = lambda t, y: np.array([np.cos(50 * t) * y[0]])
     with pytest.raises(StepUnderflow):
         solve_adaptive(OdeProblem(rhs, 0.0, 10.0, np.array([1.0]),
-                                  atol=1e-12, rtol=1e-12, max_steps=5))
+                                  tol=1e-12, max_steps=5))
 
 
 def test_invalid_tolerances_rejected():
     with pytest.raises(ValueError):
-        OdeProblem(lambda t, y: y, 0.0, 1.0, np.array([1.0]), atol=0.0)
+        OdeProblem(lambda t, y: y, 0.0, 1.0, np.array([1.0]), tol=0.0)
+
+
+def _knots(sol):
+    """(time, state) at every accepted step's start and at the end."""
+    return (list(zip(sol.dense.t_start, sol.dense.y_start))
+            + [(sol.t_final, sol.y_final)])
 
 
 def test_trace_recording():
     sol = solve_adaptive(OdeProblem(lambda t, y: -y, 0.0, 1.0, np.array([1.0])),
                          record_trace=True)
-    ts = [t for t, _ in sol.dense_trace]
+    ts = [t for t, _ in _knots(sol)]
     assert ts[0] == 0.0 and ts[-1] == 1.0
     assert all(t1 > t0 for t0, t1 in zip(ts, ts[1:]))
+    np.testing.assert_allclose(sol.dense.t_start + sol.dense.h, ts[1:], rtol=0,
+                               atol=1e-14)
 
 
 def _oscillator(t, y):
@@ -113,12 +122,12 @@ def test_retry_after_rejection_restarts_from_the_accepted_state():
     rhs = lambda t, y: -y * (1 + 100 * np.exp(-((t - 0.5) / w) ** 2))
     exact = np.exp(-1.0 - 100 * w * np.sqrt(np.pi) / 2 * (erf(0.5 / w) + erf(0.5 / w)))
     for tol in (1e-6, 1e-8):
-        sol = solve_adaptive(OdeProblem(rhs, 0.0, 1.0, np.array([1.0]), atol=tol, rtol=tol))
+        sol = solve_adaptive(OdeProblem(rhs, 0.0, 1.0, np.array([1.0]), tol=tol))
         assert abs(sol.y_final[0] - exact) < tol
 
 
 def test_recording_leaves_the_steps_unchanged():
-    problem = OdeProblem(_oscillator, 0.0, 7.0, np.array([1.0, 0.0]), atol=1e-7, rtol=1e-7)
+    problem = OdeProblem(_oscillator, 0.0, 7.0, np.array([1.0, 0.0]), tol=1e-7)
     plain = solve_adaptive(problem)
     traced = solve_adaptive(problem, record_trace=True)
     np.testing.assert_array_equal(plain.y_final, traced.y_final)
@@ -129,10 +138,11 @@ def test_recording_leaves_the_steps_unchanged():
 @pytest.mark.parametrize("t0, t1", [(0.0, 3.0), (3.0, 0.0)])
 def test_dense_output_matches_every_accepted_state(t0, t1):
     y0 = np.array([1.0, 0.0])
-    sol = solve_adaptive(OdeProblem(_oscillator, t0, t1, y0, atol=1e-6, rtol=1e-6),
+    sol = solve_adaptive(OdeProblem(_oscillator, t0, t1, y0, tol=1e-6),
                          record_trace=True)
-    ts = [t for t, _ in sol.dense_trace]
-    for (t_prev, _), (t, y) in zip(sol.dense_trace, sol.dense_trace[1:]):
+    knots = _knots(sol)
+    ts = [t for t, _ in knots]
+    for (t_prev, _), (t, y) in zip(knots, knots[1:]):
         # at the step end from inside the step (theta -> 1) and at the
         # next step's start (theta = 0)
         np.testing.assert_allclose(sol.dense(np.nextafter(t, t_prev)), y,
@@ -156,9 +166,10 @@ def test_dense_output_tracks_the_solution_between_steps(log_tol, rate, omega, ba
                  lambda tau, y: rot(tau) @ y))
     for rhs, flow in problems:
         y0 = np.array([1.0]) if rhs is problems[0][0] else np.array([1.0, 0.0])
-        sol = solve_adaptive(OdeProblem(rhs, t0, t1, y0, atol=tol, rtol=tol),
+        sol = solve_adaptive(OdeProblem(rhs, t0, t1, y0, tol=tol),
                              record_trace=True)
-        for (ta, ya), (tb, _) in zip(sol.dense_trace, sol.dense_trace[1:]):
+        knots = _knots(sol)
+        for (ta, ya), (tb, _) in zip(knots, knots[1:]):
             for t in np.linspace(ta, tb, 7)[1:-1]:
                 want = flow(t - ta, ya)
                 scale = tol * (1.0 + np.max(np.abs(want)))

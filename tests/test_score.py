@@ -59,7 +59,7 @@ def test_dsm_loss_zero_at_exact_conditional_score():
     seed = 99
     ts, zs = draw_dsm_noise(64, 2, SCHED, seed)
     cond = -zs / np.sqrt(np.asarray(SCHED.sigma2(ts)))[:, None]
-    out = dsm_loss(lambda x, t: cond, cloud.points, SCHED, seed, with_grads=False)
+    out = dsm_loss(lambda x, t: cond, cloud.points, SCHED, seed)
     assert out.loss == pytest.approx(0.0, abs=1e-24)
 
 
