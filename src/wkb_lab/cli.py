@@ -10,9 +10,13 @@ w2-sweep    2-Wasserstein distance vs noise strength
 gaussian    closed-form curves and identity-residual grid of the oracle
 verify      self-contained oracle/property checks; nonzero exit on failure
 
-Every output file starts with a ``#``-prefixed echo of the resolved
-configuration; rerunning a command with the same config reproduces the
-values.  The environment variable WKB_LAB_SEED overrides all seeds.
+Settings resolve once per command: the defaults, the INI file, the flags
+that set a config key (``train --epochs``, ``nll --dx/--tol-outer/--tol-inner``,
+``sample --n`` for ``sweep.n_samples``), a loaded checkpoint's schedule, then
+WKB_LAB_SEED for all seeds.  The ``nll``, ``w2-sweep`` and ``gaussian`` tables
+start with a ``#``-prefixed echo of those settings, flag overrides and the
+checkpoint's schedule included; rerunning a command with the same settings
+reproduces every output file byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +34,11 @@ import numpy as np
 from . import data as data_mod
 from .errors import ConfigError, WkbLabError
 from .gaussian_oracle import GaussianModel, gaussian_curves, flow_identity_residual_grid
-from .likelihood import FdStencil, nll_dataset, write_nll_table
-from .sampler import SamplerConfig, sample_sde, save_trajectories
-from .schedule import Schedule, ScheduleKind
+from .likelihood import FdStencil, nll_dataset
+from .sampler import SamplerConfig, sample_sde
+from .schedule import Schedule
 from .score import checkpoint_load, checkpoint_save
-from .train import TrainConfig, save_loss_trace, train
+from .train import TrainConfig, train
 from .wasserstein import w2_exact
 
 _ENV_SEED = "WKB_LAB_SEED"
@@ -64,9 +69,31 @@ class RunConfig:
                 out[f"{section}.{key}"] = val
         return out
 
+    def make_schedule(self, dim: int) -> Schedule:
+        sc = self.schedule
+        return Schedule(kind=sc["kind"], beta=sc["beta"],
+                        t_min=sc["t_min"], t_max=sc["t_max"], dim=dim)
 
-def load_config(path: str | None) -> RunConfig:
-    """Parse and validate the INI config; unknown sections or keys reject."""
+    def make_train(self) -> TrainConfig:
+        tr = self.train
+        return TrainConfig(epochs=tr["epochs"], batch_size=tr["batch"], lr=tr["lr"],
+                           seed=tr["seed"])
+
+
+@contextmanager
+def _range_rules(what: str):
+    """Report a range rule's ValueError from building a library object as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def load_config(path: str | None, *overrides: dict) -> RunConfig:
+    """Resolve and validate one run config: the defaults, the INI file at
+    ``path`` (unknown sections or keys reject), each of ``overrides`` in
+    turn (``{"nll.dx": 0.02}``; a None value is a flag not passed), then
+    WKB_LAB_SEED."""
     sections = {name: dict(defaults) for name, defaults in _DEFAULTS.items()}
     if path is not None:
         parser = configparser.ConfigParser()
@@ -83,36 +110,41 @@ def load_config(path: str | None) -> RunConfig:
                     sections[section][key] = type(_DEFAULTS[section][key])(raw)
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-    cfg = RunConfig(**sections)
-    _validate(cfg)
+    for override in overrides:
+        for name, val in override.items():
+            if val is not None:
+                section, key = name.split(".")
+                sections[section][key] = val
     seed_env = os.environ.get(_ENV_SEED)
     if seed_env is not None:
         try:
             seed = int(seed_env)
         except ValueError as exc:
             raise ConfigError(f"{_ENV_SEED} must be an integer") from exc
-        cfg.dataset["seed"] = seed
-        cfg.train["seed"] = seed
+        sections["dataset"]["seed"] = sections["train"]["seed"] = seed
+    cfg = RunConfig(**sections)
+    _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
-    ds, tr, nl, sw = cfg.dataset, cfg.train, cfg.nll, cfg.sweep
+    """Build the library objects that own a key's range rule; check the rest."""
+    ds, nl, sw = cfg.dataset, cfg.nll, cfg.sweep
     if ds["name"] not in ("swiss-roll", "25-gaussian"):
         raise ConfigError(f"unknown dataset {ds['name']!r}")
     if ds["n"] < 1:
         raise ConfigError("dataset.n must be >= 1")
-    try:
-        _make_schedule(cfg)
-    except ValueError as exc:
-        raise ConfigError(f"bad schedule: {exc}") from exc
-    if tr["epochs"] < 0 or tr["batch"] < 1 or tr["lr"] <= 0:
-        raise ConfigError("train parameters out of range")
-    if nl["dx"] <= 0 or nl["tol_outer"] <= 0 or nl["tol_inner"] <= 0 or nl["n_points"] < 1:
-        raise ConfigError("nll parameters out of range")
+    with _range_rules("schedule"):
+        cfg.make_schedule(dim=2)
+    with _range_rules("train"):
+        cfg.make_train()
+    with _range_rules("nll"):
+        FdStencil(dx=nl["dx"])
+    if not (nl["tol_outer"] > 0 and nl["tol_inner"] > 0 and nl["n_points"] >= 1):
+        raise ConfigError("bad nll: tolerances must be positive and n_points >= 1")
     hs = _parse_h_values(sw["h_values"])
     if any(h < 0 for h in hs) or sw["trials"] < 1 or sw["n_samples"] < 1:
-        raise ConfigError("sweep parameters out of range")
+        raise ConfigError("bad sweep: h_values must be >= 0, trials and n_samples >= 1")
 
 
 def _parse_h_values(raw: str) -> list[float]:
@@ -122,27 +154,11 @@ def _parse_h_values(raw: str) -> list[float]:
         raise ConfigError(f"bad sweep.h_values: {raw!r}") from exc
 
 
-def _make_schedule(cfg: RunConfig, dim: int = 2) -> Schedule:
-    sc = cfg.schedule
-    return Schedule(kind=ScheduleKind(sc["kind"]), beta=sc["beta"],
-                    t_min=sc["t_min"], t_max=sc["t_max"], dim=dim)
-
-
 def _make_dataset(cfg: RunConfig) -> data_mod.PointCloud:
     ds = cfg.dataset
     if ds["name"] == "swiss-roll":
         return data_mod.make_swiss_roll(ds["n"], seed=ds["seed"])
     return data_mod.make_25gaussian(ds["n"], seed=ds["seed"])
-
-
-def _write_table(path: Path, rows, header: str, echo: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, val in echo.items():
-            fh.write(f"# {key} = {val}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write("\t".join(f"{v:.12g}" if isinstance(v, float) else str(v)
-                               for v in row) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -163,13 +179,10 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    if args.epochs is not None:
-        cfg.train["epochs"] = args.epochs
+    cfg = load_config(args.config, {"train.epochs": args.epochs})
     cloud = _make_dataset(cfg)
-    schedule = _make_schedule(cfg, dim=cloud.dim)
-    tc = TrainConfig(epochs=cfg.train["epochs"], batch_size=cfg.train["batch"],
-                     lr=cfg.train["lr"], seed=cfg.train["seed"])
+    schedule = cfg.make_schedule(cloud.dim)
+    tc = cfg.make_train()
     result = train(tc, cloud, schedule)
     out = _out_dir(args)
     stem = f"{cloud.name}_{schedule.kind.value}"
@@ -177,61 +190,57 @@ def cmd_train(args) -> int:
     checkpoint_save(result.model, ckpt, schedule,
                     train_meta={"epochs": tc.epochs, "batch_size": tc.batch_size,
                                 "lr": tc.lr, "time_grid_size": tc.time_grid_size})
-    save_loss_trace(result.loss_trace, out / f"{stem}_loss.tsv")
+    data_mod.write_table(out / f"{stem}_loss.tsv", "# epoch\tloss",
+                         enumerate(result.loss_trace))
     final = result.loss_trace[-1] if len(result.loss_trace) else float("nan")
     print(f"wrote {ckpt} (final epoch loss {final:.6g})")
     return 0
 
 
-def _load_checkpoint(args, cfg: RunConfig):
+def _load_checkpoint(args):
+    """The model and, as config overrides, the schedule it was trained with."""
     if args.checkpoint is None:
         raise ConfigError("--checkpoint is required for this command")
     model, meta = checkpoint_load(args.checkpoint)
-    kind = meta["schedule_kind"] or ScheduleKind(cfg.schedule["kind"])
-    schedule = Schedule(kind=kind, beta=meta["beta"] or cfg.schedule["beta"],
-                        t_min=meta["t_min"] or cfg.schedule["t_min"],
-                        t_max=meta["t_max"] or cfg.schedule["t_max"],
-                        dim=model.dim)
-    return model, schedule
+    return model, {"schedule.kind": meta["schedule_kind"].value,
+                   "schedule.beta": meta["beta"], "schedule.t_min": meta["t_min"],
+                   "schedule.t_max": meta["t_max"]}
 
 
 def cmd_sample(args) -> int:
-    cfg = load_config(args.config)
-    model, schedule = _load_checkpoint(args, cfg)
-    n = args.n or cfg.sweep["n_samples"]
-    sampler = SamplerConfig(h=args.h, n_steps=args.n_steps, seed=cfg.dataset["seed"])
-    cloud, trajs = sample_sde(model, schedule, sampler, n, n_record=args.record)
+    model, trained_schedule = _load_checkpoint(args)
+    cfg = load_config(args.config, {"sweep.n_samples": args.n}, trained_schedule)
+    with _range_rules("sample"):
+        sampler = SamplerConfig(h=args.h, n_steps=args.n_steps, seed=cfg.dataset["seed"])
+    cloud, trajs = sample_sde(model, cfg.make_schedule(model.dim), sampler,
+                              cfg.sweep["n_samples"], n_record=args.record)
     out = _out_dir(args)
     cloud.name = f"samples_h{args.h:g}"
     data_mod.save_cloud(cloud, out / f"{cloud.name}.tsv")
     if trajs:
-        save_trajectories(trajs, out / f"trajectories_h{args.h:g}.tsv")
+        data_mod.write_table(out / f"trajectories_h{args.h:g}.tsv", "# trajectory\tt\tx...",
+                             [(j, t, *x) for j, traj in enumerate(trajs)
+                              for t, x in zip(traj.times, traj.states)], digits=17)
     print(f"wrote {out / (cloud.name + '.tsv')}")
     return 0
 
 
 def cmd_nll(args) -> int:
-    cfg = load_config(args.config)
-    model, schedule = _load_checkpoint(args, cfg)
-    nl = dict(cfg.nll)
-    if args.dx is not None:
-        nl["dx"] = args.dx
-    if args.tol_outer is not None:
-        nl["tol_outer"] = args.tol_outer
-    if args.tol_inner is not None:
-        nl["tol_inner"] = args.tol_inner
+    model, trained_schedule = _load_checkpoint(args)
+    cfg = load_config(args.config, {"nll.dx": args.dx, "nll.tol_outer": args.tol_outer,
+                                    "nll.tol_inner": args.tol_inner}, trained_schedule)
+    nl = cfg.nll
     cloud = _make_dataset(cfg)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=cfg.dataset["seed"], spawn_key=(0x7A11,))))
     idx = rng.permutation(len(cloud))[: nl["n_points"]]
-    summary = nll_dataset(model, schedule, cloud.points[idx],
+    summary = nll_dataset(model, cfg.make_schedule(model.dim), cloud.points[idx],
                           stencil=FdStencil(dx=nl["dx"]),
                           tol_outer=nl["tol_outer"], tol_inner=nl["tol_inner"],
                           err_scheme=args.scheme, threads=args.threads)
     out = _out_dir(args)
-    echo = cfg.echo()
-    echo["nll.scheme"] = args.scheme
-    write_nll_table(out / "nll_table.tsv", summary, echo)
+    data_mod.write_table(out / "nll_table.tsv", *summary.table(),
+                         echo={**cfg.echo(), "nll.scheme": args.scheme})
     print(f"NLL = {summary.nll_mean:.4f} +- {summary.nll_stderr:.4f}  "
           f"1st-corr = {summary.nll_corr_mean:.4f} +- {summary.corr_stderr:.4f}  "
           f"errors = {summary.err_mean:.4f}  "
@@ -253,8 +262,9 @@ def _w2_trial(job):
 def cmd_w2_sweep(args) -> int:
     from concurrent.futures import ProcessPoolExecutor
 
-    cfg = load_config(args.config)
-    model, schedule = _load_checkpoint(args, cfg)
+    model, trained_schedule = _load_checkpoint(args)
+    cfg = load_config(args.config, trained_schedule)
+    schedule = cfg.make_schedule(model.dim)
     sw = cfg.sweep
     n = sw["n_samples"]
     cloud = _make_dataset(cfg)
@@ -271,22 +281,24 @@ def cmd_w2_sweep(args) -> int:
         stderr = dists.std(ddof=1) / np.sqrt(len(dists)) if len(dists) > 1 else 0.0
         rows.append((float(h), float(dists.mean()), float(stderr)))
     out = _out_dir(args)
-    _write_table(out / "w2_sweep.tsv", rows, "h\tw2_mean\tw2_stderr", cfg.echo())
+    data_mod.write_table(out / "w2_sweep.tsv", "h\tw2_mean\tw2_stderr", rows,
+                         echo=cfg.echo())
     for h, mean, err in rows:
         print(f"h={h:g}: W2 = {mean:.4f} +- {err:.4f}")
     return 0
 
 
 def cmd_gaussian(args) -> int:
-    model = GaussianModel(beta=args.beta, v0=args.v0, epsilon=args.eps, T=args.T)
-    hs = np.linspace(0.0, 1.0, args.n_h)
+    with _range_rules("gaussian"):
+        model = GaussianModel(beta=args.beta, v0=args.v0, epsilon=args.eps, T=args.T)
+        hs = np.linspace(0.0, 1.0, args.n_h)
     out = _out_dir(args)
-    echo = {"gaussian.beta": args.beta, "gaussian.v0": args.v0,
-            "gaussian.epsilon": args.eps, "gaussian.T": args.T}
-    _write_table(out / "gaussian_curves.tsv", gaussian_curves(model, hs),
-                 "h\tnll\tw2", echo)
+    echo = {f"gaussian.{key}": val for key, val in asdict(model).items()}
+    data_mod.write_table(out / "gaussian_curves.tsv", "h\tnll\tw2",
+                         gaussian_curves(model, hs), echo=echo)
     grid = flow_identity_residual_grid(model, [0.0, 0.25, 0.5, 1.0], [-0.2, 0.0, 0.3])
-    _write_table(out / "flow_identity_residuals.tsv", grid, "h\teps\tresidual", echo)
+    data_mod.write_table(out / "flow_identity_residuals.tsv", "h\teps\tresidual", grid,
+                         echo=echo)
     worst = max(r for _, _, r in grid)
     print(f"wrote curves and residual grid (max residual {worst:.3e})")
     return 0

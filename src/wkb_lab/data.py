@@ -1,4 +1,5 @@
-"""Synthetic 2-D datasets and point-cloud persistence.
+"""Synthetic 2-D datasets, point-cloud persistence and the package's one
+text-table writer.
 
 Two generators: a spiral ("swiss roll" projected to its first and last
 axis) and a 5x5 grid of narrow Gaussians.  Both are normalized so the
@@ -78,12 +79,24 @@ def make_25gaussian(n: int, seed: int = 0) -> PointCloud:
     return PointCloud(points=pts, name="25-gaussian", seed=seed, norm_constant=float(GRID_NORM))
 
 
+def write_table(path, header: str, rows, footer: dict | None = None,
+                echo: dict | None = None, digits: int = 12) -> None:
+    """Tab-separated text table: one ``# key = value`` line per ``echo``
+    entry, the header line, one line per row (floats as ``%.{digits}g``,
+    anything else by ``str``), then one ``# key = value`` line per
+    ``footer`` entry."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {key} = {val}\n" for key, val in (echo or {}).items())
+        fh.write(header + "\n")
+        fh.writelines("\t".join(f"{v:.{digits}g}" if isinstance(v, float) else str(v)
+                                for v in row) + "\n" for row in rows)
+        fh.writelines(f"# {key} = {val}\n" for key, val in (footer or {}).items())
+
+
 def save_cloud(cloud: PointCloud, path) -> None:
     """One point per line, tab separated, with a `# name seed norm` header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {cloud.name}\t{cloud.seed}\t{cloud.norm_constant:.17g}\n")
-        for row in cloud.points:
-            fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")
+    write_table(path, f"# {cloud.name}\t{cloud.seed}\t{cloud.norm_constant:.17g}",
+                cloud.points, digits=17)
 
 
 def load_cloud(path) -> PointCloud:

@@ -34,6 +34,7 @@ from scipy.integrate import quad
 
 from .schedule import Schedule, ScheduleKind
 from .score import AnalyticGaussianScore
+from .wasserstein import w2_gaussian_1d
 
 
 def _expm1_over(z):
@@ -53,7 +54,7 @@ class GaussianModel:
     T: float = 3.0
 
     def __post_init__(self):
-        if self.beta <= 0.0 or self.v0 <= 0.0 or self.T <= 0.0:
+        if not (self.beta > 0.0 and self.v0 > 0.0 and self.T > 0.0):  # rejects NaN too
             raise ValueError("beta, v0 and T must be positive")
 
     def v_t(self, t):
@@ -93,7 +94,7 @@ class GaussianModel:
 
     def w2(self, h: float) -> float:
         """2-Wasserstein distance between data and model at t=0."""
-        return abs(np.sqrt(self.v0) - np.sqrt(self.vprime_t(h, 0.0)))
+        return w2_gaussian_1d(self.v0, self.vprime_t(h, 0.0))
 
     def logq0(self, x0, h: float = 0.0, t: float = 0.0) -> float:
         """Pointwise model log-density log N(x0 | 0, v'_t I); x0 may be a vector

@@ -59,7 +59,7 @@ class FdStencil:
     dx: float = 0.01
 
     def __post_init__(self):
-        if self.dx <= 0.0:
+        if not self.dx > 0.0:  # also rejects NaN
             raise ValueError("dx must be positive")
 
 
@@ -333,6 +333,18 @@ class NllSummary:
     def nll_corr_mean(self) -> float:
         return -self.corr_mean
 
+    def table(self) -> tuple[str, list[tuple], dict]:
+        """(header, rows, footer) of the per-point table; the footer's
+        ``1st-corr`` differentiates the NLL, so it is ``nll_corr_mean``."""
+        rows = [(i, "nan", "nan", "nan", "failed") if rep is None
+                else (i, rep.log_q0, rep.correction1, rep.err_bound, "ok")
+                for i, rep in enumerate(self.reports)]
+        footer = {"NLL": f"{self.nll_mean:.12g} +- {self.nll_stderr:.12g}",
+                  "1st-corr": f"{self.nll_corr_mean:.12g} +- {self.corr_stderr:.12g}",
+                  "errors": f"{self.err_mean:.12g}",
+                  "failed": f"{self.n_failed} of {self.n_points}"}
+        return "point\tlog_q0\tcorrection1\terr_bound\tstatus", rows, footer
+
 
 def _point_job(args):
     score, schedule, x, stencil, tol_outer, tol_inner, err_scheme = args
@@ -381,23 +393,3 @@ def nll_dataset(score, schedule: Schedule, cloud, stencil: FdStencil | None = No
                       nll_mean=nll_mean, nll_stderr=nll_stderr,
                       corr_mean=corr_mean, corr_stderr=corr_stderr,
                       err_mean=err_mean, reports=reports)
-
-
-def write_nll_table(path, summary: NllSummary, config_echo: dict | None = None) -> None:
-    """Per-point table with an aggregate footer (NLL, 1st-corr, errors)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, val in (config_echo or {}).items():
-            fh.write(f"# {key} = {val}\n")
-        fh.write("point\tlog_q0\tcorrection1\terr_bound\tstatus\n")
-        for i, rep in enumerate(summary.reports):
-            if rep is None:
-                fh.write(f"{i}\tnan\tnan\tnan\tfailed\n")
-            else:
-                fh.write(f"{i}\t{rep.log_q0:.12g}\t{rep.correction1:.12g}"
-                         f"\t{rep.err_bound:.12g}\tok\n")
-        fh.write(f"# NLL = {summary.nll_mean:.12g} +- {summary.nll_stderr:.12g}\n")
-        # table convention: the correction column differentiates the NLL, which
-        # flips the sign of the pointwise log-likelihood coefficient
-        fh.write(f"# 1st-corr = {-summary.corr_mean:.12g} +- {summary.corr_stderr:.12g}\n")
-        fh.write(f"# errors = {summary.err_mean:.12g}\n")
-        fh.write(f"# failed = {summary.n_failed} of {summary.n_points}\n")

@@ -161,13 +161,3 @@ def sample_ode(score, schedule: Schedule, n: int, tol: float = 1e-5, seed: int =
     sol = solve_adaptive(OdeProblem(rhs=rhs, t0=schedule.t_max, t1=schedule.t_min,
                                     y0=latents.ravel(), tol=tol))
     return PointCloud(points=sol.y_final.reshape(-1, d), name="pf-ode", seed=seed)
-
-
-def save_trajectories(trajectories: list[Trajectory], path) -> None:
-    """One row per (trajectory id, t, x components), tab separated."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# trajectory\tt\tx...\n")
-        for j, traj in enumerate(trajectories):
-            for t, state in zip(traj.times, traj.states):
-                coords = "\t".join(f"{v:.17g}" for v in state)
-                fh.write(f"{j}\t{t:.17g}\t{coords}\n")

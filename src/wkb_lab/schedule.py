@@ -113,7 +113,3 @@ class Schedule:
         else:
             out = -np.expm1(-self.beta * t)
         return out if out.ndim else float(out)
-
-    def div_drift(self, t):
-        """Analytic divergence of the drift: d * a(t)."""
-        return self.dim * self.drift_coef(t)

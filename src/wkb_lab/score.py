@@ -321,15 +321,12 @@ _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
 _HEAD = struct.Struct("<4sHBBq3d3IdIB3x")
 
 
-def checkpoint_save(model: MlpScore, path, schedule: Schedule | None = None,
+def checkpoint_save(model: MlpScore, path, schedule: Schedule,
                     train_meta: dict | None = None) -> None:
     meta = dict(train_meta or {})
-    kind_tag = _KIND_TAGS[schedule.kind] if schedule is not None else 255
     head = _HEAD.pack(
-        _MAGIC, _VERSION, kind_tag, 0, int(model.seed),
-        float(schedule.beta if schedule else 0.0),
-        float(schedule.t_min if schedule else 0.0),
-        float(schedule.t_max if schedule else 0.0),
+        _MAGIC, _VERSION, _KIND_TAGS[schedule.kind], 0, int(model.seed),
+        float(schedule.beta), float(schedule.t_min), float(schedule.t_max),
         int(meta.get("epochs", 0)), int(meta.get("batch_size", 0)),
         int(meta.get("time_grid_size", _TIME_GRID_DEFAULT)),
         float(meta.get("lr", 0.0)),
@@ -357,6 +354,8 @@ def checkpoint_load(path, dim: int | None = None) -> tuple[MlpScore, dict]:
         raise CorruptFile("bad magic bytes")
     if version != _VERSION:
         raise VersionMismatch(f"checkpoint version {version}, expected {_VERSION}")
+    if kind_tag not in _TAG_KINDS:
+        raise CorruptFile(f"unknown schedule tag {kind_tag}")
     off = _HEAD.size
     shapes = []
     for _ in range(n_layers):
@@ -373,7 +372,7 @@ def checkpoint_load(path, dim: int | None = None) -> tuple[MlpScore, dict]:
     except ArchitectureMismatch as exc:
         raise CorruptFile(f"inconsistent layer widths: {exc}") from exc
     meta = {
-        "schedule_kind": _TAG_KINDS.get(kind_tag),
+        "schedule_kind": _TAG_KINDS[kind_tag],
         "beta": beta, "t_min": t_min, "t_max": t_max,
         "epochs": epochs, "batch_size": batch,
         "time_grid_size": time_grid, "lr": lr, "seed": seed,

@@ -28,6 +28,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        if not self.lr > 0.0:  # also rejects NaN
+            raise ValueError("lr must be positive")
 
 
 @dataclass
@@ -68,10 +70,3 @@ def train(config: TrainConfig, dataset: PointCloud, schedule: Schedule) -> Train
             step += 1
         trace[epoch] = epoch_losses.mean()
     return TrainResult(model=model, loss_trace=trace, config=config)
-
-
-def save_loss_trace(trace: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# epoch\tloss\n")
-        for i, v in enumerate(np.asarray(trace, dtype=float)):
-            fh.write(f"{i}\t{v:.12g}\n")

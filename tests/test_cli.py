@@ -146,12 +146,82 @@ def test_missing_checkpoint_is_an_error(mini_config, capsys):
 
 
 def test_rerun_reproduces_outputs(mini_config, tmp_path):
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        main(["gen-data", "--config", mini_config, "--out", str(out)])
-        outs.append((out / "swiss-roll.tsv").read_text())
-    assert outs[0] == outs[1]
+    outs = (tmp_path / "a", tmp_path / "b")
+    for out in outs:
+        ckpt = str(out / "swiss-roll_const-beta.ckpt")
+        for argv in (["gen-data", "--config", mini_config],
+                     ["train", "--config", mini_config],
+                     ["sample", "--config", mini_config, "--checkpoint", ckpt, "--h", "0.5",
+                      "--n", "32", "--n-steps", "25", "--record", "2"],
+                     ["nll", "--config", mini_config, "--checkpoint", ckpt],
+                     ["w2-sweep", "--config", mini_config, "--checkpoint", ckpt],
+                     ["gaussian"]):
+            assert main(argv + ["--out", str(out)]) == 0
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == sorted([
+        "swiss-roll.tsv", "swiss-roll_const-beta.ckpt", "swiss-roll_const-beta_loss.tsv",
+        "samples_h0.5.tsv", "trajectories_h0.5.tsv", "nll_table.tsv", "w2_sweep.tsv",
+        "gaussian_curves.tsv", "flow_identity_residuals.tsv"])
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def mini_checkpoint(tmp_path_factory):
+    """(config path, checkpoint path) of a 1-epoch run of the mini config."""
+    tmp = tmp_path_factory.mktemp("mini")
+    config = tmp / "run.ini"
+    config.write_text(MINI_CONFIG)
+    assert main(["train", "--config", str(config), "--out", str(tmp), "--epochs", "1"]) == 0
+    return str(config), str(tmp / "swiss-roll_const-beta.ckpt")
+
+
+def test_nll_echo_records_flags_and_the_checkpoint_schedule(mini_checkpoint, tmp_path):
+    config, ckpt = mini_checkpoint
+    # the config's schedule differs from the checkpoint's, and flags override [nll]
+    other = tmp_path / "other.ini"
+    other.write_text(MINI_CONFIG.replace("kind = const-beta\nbeta = 4.0",
+                                         "kind = cosine\nbeta = 9.0")
+                     .replace("t_max = 1.0", "t_max = 0.99"))
+    assert main(["nll", "--config", str(other), "--checkpoint", ckpt, "--out",
+                 str(tmp_path / "flags"), "--dx", "0.02", "--tol-outer", "1e-2",
+                 "--tol-inner", "1e-3"]) == 0
+    table = (tmp_path / "flags" / "nll_table.tsv").read_text()
+    for line in ("# schedule.kind = const-beta", "# schedule.beta = 4.0",
+                 "# schedule.t_max = 1.0", "# nll.dx = 0.02", "# nll.tol_outer = 0.01",
+                 "# nll.tol_inner = 0.001"):
+        assert line + "\n" in table
+    # the echo is the run: the same settings from a file give the same bytes
+    same = tmp_path / "same.ini"
+    same.write_text(MINI_CONFIG.replace("dx = 0.05", "dx = 0.02")
+                    .replace("tol_outer = 1e-3", "tol_outer = 1e-2")
+                    .replace("tol_inner = 1e-4", "tol_inner = 1e-3"))
+    assert main(["nll", "--config", str(same), "--checkpoint", ckpt, "--out",
+                 str(tmp_path / "file")]) == 0
+    assert (tmp_path / "file" / "nll_table.tsv").read_text() == table
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--epochs", "-1"],
+    ["nll", "--dx", "-1"],
+    ["nll", "--dx", "nan"],
+    ["nll", "--tol-outer", "-1"],
+    ["sample", "--n", "0"],
+    ["sample", "--n", "-3"],
+    ["sample", "--n-steps", "0"],
+    ["sample", "--h", "-1"],
+    ["gaussian", "--beta", "-1"],
+    ["gaussian", "--beta", "nan"],
+    ["gaussian", "--n-h", "-1"],
+])
+def test_bad_flag_value_is_a_config_error(mini_checkpoint, tmp_path, capsys, argv):
+    config, ckpt = mini_checkpoint
+    run = {"train": ["--config", config],
+           "nll": ["--config", config, "--checkpoint", ckpt],
+           "sample": ["--config", config, "--checkpoint", ckpt]}.get(argv[0], [])
+    assert main(argv + run + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

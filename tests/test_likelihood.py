@@ -4,10 +4,10 @@ import pytest
 from conftest import ORACLE_T_MIN, logq_characteristic, oracle_model
 from nested_reference import nested_nll_first_order
 from wkb_lab import stencil
-from wkb_lab.data import make_swiss_roll
+from wkb_lab.data import make_swiss_roll, write_table
 from wkb_lab.likelihood import (FdStencil, OuterState, _pf_with_div_rhs, logq_pf,
                                 logq_pf_batch, nll_dataset, nll_first_order, prior_grad,
-                                prior_logpdf, write_nll_table)
+                                prior_logpdf)
 from wkb_lab.ode import OdeProblem, solve_adaptive
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.train import TrainConfig, train
@@ -144,13 +144,19 @@ def test_table_writer_layout(tmp_path):
     summary = nll_dataset(score, sched, np.array([[0.1, 0.0], [0.0, 0.2]]),
                           stencil=FdStencil(0.05), tol_outer=1e-4, tol_inner=1e-6)
     path = tmp_path / "table.tsv"
-    write_nll_table(path, summary, {"schedule.kind": "const-beta"})
+    write_table(path, *summary.table(), echo={"schedule.kind": "const-beta"})
     text = path.read_text()
     assert text.startswith("# schedule.kind = const-beta\n")
     assert "point\tlog_q0\tcorrection1\terr_bound\tstatus" in text
     assert "# NLL = " in text and "# 1st-corr = " in text and "# errors = " in text
     # table reports the NLL-derivative convention
     assert f"{-summary.corr_mean:.12g}" in text
+
+
+@pytest.mark.parametrize("dx", [0.0, -0.01, float("nan")])
+def test_stencil_spacing_must_be_positive(dx):
+    with pytest.raises(ValueError, match="dx"):
+        FdStencil(dx=dx)
 
 
 def test_rejects_out_of_window_start():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from wkb_lab.data import write_table
 from wkb_lab.gaussian_oracle import GaussianModel
 from wkb_lab.sampler import (SamplerConfig, Trajectory, draw_latents, em_sweep,
-                             sample_ode, sample_sde, save_trajectories)
+                             sample_ode, sample_sde)
 
 
 class DriftFree:
@@ -109,7 +110,10 @@ def test_trajectory_recording_and_dump(tmp_path):
     assert trajs[0].times[0] == sched.t_max and trajs[0].times[-1] == sched.t_min
     np.testing.assert_array_equal(trajs[0].states[-1], cloud.points[0])
     path = tmp_path / "traj.tsv"
-    save_trajectories(trajs, path)
+    # the layout `sample --record` writes
+    write_table(path, "# trajectory\tt\tx...", [(j, t, *x) for j, traj in enumerate(trajs)
+                                              for t, x in zip(traj.times, traj.states)],
+                digits=17)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + 3 * 21
 

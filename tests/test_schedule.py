@@ -91,11 +91,6 @@ def test_validation_rejects_bad_parameters():
         Schedule(kind=ScheduleKind.SIMPLE, t_min=0.5, t_max=0.2)
 
 
-def test_div_drift_scales_with_dimension():
-    sched = Schedule(kind=ScheduleKind.SIMPLE, beta=20.0, dim=3)
-    assert sched.div_drift(0.5) == pytest.approx(3 * (-5.0))
-
-
 def test_vectorized_evaluation():
     ts = np.array([0.1, 0.2, 0.4])
     out = SIMPLE.drift_coef(ts)

@@ -191,7 +191,7 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
 def test_checkpoint_dimension_mismatch(tmp_path):
     model = MlpScore.create(dim=2, seed=1)
     path = tmp_path / "model.ckpt"
-    checkpoint_save(model, path)
+    checkpoint_save(model, path, SCHED)
     with pytest.raises(ArchitectureMismatch):
         checkpoint_load(path, dim=3)
 
@@ -199,7 +199,7 @@ def test_checkpoint_dimension_mismatch(tmp_path):
 def test_checkpoint_truncation_detected(tmp_path):
     model = MlpScore.create(dim=2, seed=1)
     path = tmp_path / "model.ckpt"
-    checkpoint_save(model, path)
+    checkpoint_save(model, path, SCHED)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(CorruptFile):
@@ -212,7 +212,7 @@ def test_checkpoint_version_guard(tmp_path):
 
     model = MlpScore.create(dim=2, seed=1)
     path = tmp_path / "model.ckpt"
-    checkpoint_save(model, path)
+    checkpoint_save(model, path, SCHED)
     raw = bytearray(path.read_bytes())
     raw[4:6] = struct.pack("<H", 9)  # bump the version field
     body = bytes(raw[:-4])
@@ -225,9 +225,25 @@ def test_checkpoint_version_guard(tmp_path):
 def test_checkpoint_bitflip_detected(tmp_path):
     model = MlpScore.create(dim=2, seed=1)
     path = tmp_path / "model.ckpt"
-    checkpoint_save(model, path)
+    checkpoint_save(model, path, SCHED)
     raw = bytearray(path.read_bytes())
     raw[60] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptFile):
+        checkpoint_load(path)
+
+
+def test_checkpoint_unknown_schedule_tag_is_corrupt(tmp_path):
+    import struct
+    import zlib
+
+    model = MlpScore.create(dim=2, seed=1)
+    path = tmp_path / "model.ckpt"
+    checkpoint_save(model, path, SCHED)
+    raw = bytearray(path.read_bytes())
+    raw[6] = 255  # the schedule-kind tag, with a valid checksum
+    body = bytes(raw[:-4])
+    raw[-4:] = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptFile):
         checkpoint_load(path)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from wkb_lab.data import make_swiss_roll
+from wkb_lab.data import make_swiss_roll, write_table
 from wkb_lab.errors import NonFinite
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.score import MlpScore
-from wkb_lab.train import TrainConfig, save_loss_trace, train
+from wkb_lab.train import TrainConfig, train
 
 SCHED = Schedule(kind=ScheduleKind.SIMPLE, beta=20.0, dim=2)
 
@@ -43,6 +43,12 @@ def test_divergence_reports_epoch_batch_and_param_norm():
     assert isinstance(info.value.__cause__, NonFinite)
 
 
+@pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan")])
+def test_learning_rate_must_be_positive(lr):
+    with pytest.raises(ValueError, match="lr"):
+        TrainConfig(lr=lr)
+
+
 def test_batch_size_must_fit_dataset():
     cloud = make_swiss_roll(100, seed=1)
     with pytest.raises(ValueError):
@@ -70,7 +76,7 @@ def test_loss_traces_finite_on_all_combos(trained_zoo):
 def test_loss_trace_roundtrip(tmp_path):
     trace = np.array([3.0, 2.5, 2.25])
     path = tmp_path / "loss.tsv"
-    save_loss_trace(trace, path)
+    write_table(path, "# epoch\tloss", enumerate(trace))  # the layout `train` writes
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("#")
     assert [float(l.split("\t")[1]) for l in lines[1:]] == [3.0, 2.5, 2.25]
