@@ -134,6 +134,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown dataset {ds['name']!r}")
     if ds["n"] < 1:
         raise ConfigError("dataset.n must be >= 1")
+    if ds["seed"] < 0 or cfg.train["seed"] < 0:
+        raise ConfigError(f"bad seed: dataset.seed and train.seed must be >= 0 "
+                          f"({_ENV_SEED} sets both)")
     with _range_rules("schedule"):
         cfg.make_schedule(dim=2)
     with _range_rules("train"):
@@ -180,6 +183,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, {"train.epochs": args.epochs})
+    if cfg.train["batch"] > cfg.dataset["n"]:
+        raise ConfigError(f"bad train: batch {cfg.train['batch']} exceeds "
+                          f"dataset.n {cfg.dataset['n']}")
     cloud = _make_dataset(cfg)
     schedule = cfg.make_schedule(cloud.dim)
     tc = cfg.make_train()

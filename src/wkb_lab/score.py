@@ -18,7 +18,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import PointCloud
 from .errors import ArchitectureMismatch, CorruptFile, NonFinite, VersionMismatch
@@ -30,14 +29,23 @@ _N_HIDDEN = 3
 _TIME_GRID_DEFAULT = 1000
 
 
-def _swish(z):
-    s = expit(z)
-    return z * s, s
+def _sigmoid(z):
+    """1 / (1 + exp(-z)) in one new array, each step in place on it.  exp
+    overflows to inf for z < -709, which gives the limit 0; callers
+    silence that warning."""
+    s = np.negative(z)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.reciprocal(s, out=s)
 
 
-def _swish_grad(z, s):
-    # d/dz [z * sigmoid(z)] = sigmoid(z) * (1 + z * (1 - sigmoid(z)))
-    return s * (1.0 + z * (1.0 - s))
+def _swish_grad(delta, z, s):
+    """delta *= d/dz [z * sigmoid(z)] = s * (1 + z * (1 - s)), in place."""
+    g = np.subtract(1.0, s)
+    g *= z
+    g += 1.0
+    g *= s
+    delta *= g
 
 
 class MlpScore:
@@ -102,13 +110,19 @@ class MlpScore:
         tcol = np.broadcast_to(np.asarray(t, dtype=float).reshape(-1, 1), (x.shape[0], 1))
         h = np.concatenate([x, tcol], axis=1)
         cache = [] if keep_cache else None
-        for i in range(_N_HIDDEN):
-            z = h @ self.weights[i] + self.biases[i]
-            act, s = _swish(z)
-            if keep_cache:
-                cache.append((h, z, s))
-            h = act
-        out = h @ self.weights[-1] + self.biases[-1]
+        with np.errstate(over="ignore"):
+            for i in range(_N_HIDDEN):
+                z = h @ self.weights[i]
+                z += self.biases[i]
+                s = _sigmoid(z)
+                if keep_cache:
+                    cache.append((h, z, s))
+                    h = z * s
+                else:
+                    z *= s
+                    h = z
+        out = h @ self.weights[-1]
+        out += self.biases[-1]
         if keep_cache:
             cache.append((h, None, None))
         if not np.all(np.isfinite(out)):
@@ -126,7 +140,7 @@ class MlpScore:
         delta = grad_out @ self.weights[-1].T
         for i in range(_N_HIDDEN - 1, -1, -1):
             h, z, s = cache[i]
-            delta = delta * _swish_grad(z, s)
+            _swish_grad(delta, z, s)
             grads[2 * i][...] = h.T @ delta
             grads[2 * i + 1][...] = delta.sum(axis=0)
             if i > 0:

@@ -253,3 +253,29 @@ def test_bad_schedule_is_a_config_error(tmp_path, capsys, schedule):
         load_config(str(path))
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: bad schedule: ")
+
+
+def test_train_batch_above_dataset_size_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "small.ini"
+    path.write_text(MINI_CONFIG.replace("n = 600", "n = 40"))  # batch = 64
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad train: ") and "Traceback" not in err
+    assert not out.exists()  # rejected before any work
+
+
+def test_negative_env_seed_is_a_config_error(mini_config, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WKB_LAB_SEED", "-1")
+    with pytest.raises(ConfigError, match="bad seed"):
+        load_config(mini_config)
+    assert main(["gen-data", "--config", mini_config, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: bad seed: ")
+
+
+@pytest.mark.parametrize("section", ["dataset", "train"])
+def test_negative_config_seed_is_a_config_error(tmp_path, section):
+    path = tmp_path / "seed.ini"
+    path.write_text(f"[{section}]\nseed = -1\n")
+    with pytest.raises(ConfigError, match="bad seed"):
+        load_config(str(path))

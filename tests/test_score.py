@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from mlp_reference import backprop_expit, forward_expit
 
 from wkb_lab import stencil
 from wkb_lab.data import make_swiss_roll
@@ -50,6 +53,33 @@ def test_swish_forward_is_smooth_at_origin():
     left = (f(0.0) - f(-h)) / h
     right = (f(h) - f(0.0)) / h
     assert abs(left - right) < 1e-3  # derivative continuous across 0
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0])
+@pytest.mark.parametrize("rows", [1, 45, 512])
+def test_swish_matches_expit_reference(rows, scale):
+    # at scale 10 the pre-activations pass -709, where exp(-z) overflows;
+    # the "error" filter fails the test on any warning that escapes
+    model = MlpScore.create(dim=2, seed=5)
+    model.params *= scale
+    rng = np.random.default_rng(rows)
+    x = 10.0 * rng.standard_normal((rows, 2))
+    t = rng.uniform(0.01, 1.0, size=rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, cache = model._forward(x, t, keep_cache=True)
+        plain, _ = model._forward(x, t)
+        grad_out = rng.standard_normal(out.shape)
+        grads = model.views(model.backprop(cache, grad_out))
+    ref, ref_cache = forward_expit(model, x, t)
+    ref_grads = model.views(backprop_expit(model, ref_cache, grad_out))
+    if scale > 1.0:
+        zs = np.concatenate([z.ravel() for _, z, _ in cache[:-1]])
+        assert zs.min() < -800.0 and zs.max() > 800.0
+    np.testing.assert_array_equal(plain, out)  # the cached arrays stay intact
+    assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    for g, g_ref in zip(grads, ref_grads):  # relative per weight and bias tensor
+        assert np.max(np.abs(g - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
 
 
 def test_dsm_loss_zero_at_exact_conditional_score():
