@@ -145,9 +145,11 @@ def _validate(cfg: RunConfig) -> None:
         FdStencil(dx=nl["dx"])
     if not (nl["tol_outer"] > 0 and nl["tol_inner"] > 0 and nl["n_points"] >= 1):
         raise ConfigError("bad nll: tolerances must be positive and n_points >= 1")
-    hs = _parse_h_values(sw["h_values"])
-    if any(h < 0 for h in hs) or sw["trials"] < 1 or sw["n_samples"] < 1:
-        raise ConfigError("bad sweep: h_values must be >= 0, trials and n_samples >= 1")
+    with _range_rules("sweep"):
+        for h in _parse_h_values(sw["h_values"]):
+            SamplerConfig(h=h)
+    if sw["trials"] < 1 or sw["n_samples"] < 1:
+        raise ConfigError("bad sweep: trials and n_samples must be >= 1")
 
 
 def _parse_h_values(raw: str) -> list[float]:

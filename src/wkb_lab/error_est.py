@@ -24,6 +24,7 @@ err1_T . |grad log pi(x_T)| + |err2_T|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,9 @@ class LocalErr:
 
     def __post_init__(self):
         self.grad_err = np.asarray(self.grad_err, dtype=float)
-        if np.any(self.grad_err < 0.0) or self.lap_err < 0.0 or \
-                not (np.all(np.isfinite(self.grad_err)) and np.isfinite(self.lap_err)):
+        # one pass over every bound; a NaN fails both comparisons
+        if not all(0.0 <= v < math.inf for v in [*self.grad_err.ravel().tolist(),
+                                                  self.lap_err]):
             raise ValueError("local error bounds must be finite and nonnegative")
 
 

@@ -143,13 +143,14 @@ def _characteristic_rhs(score, schedule: Schedule, dx: float):
     """RHS of the (x, a, H) system: the flow, a = grad log q0_t(x) and
     H = its Hessian, with J_pf = alpha I - (g^2/2) J the flow Jacobian."""
     d = schedule.dim
+    eye = np.eye(d)
 
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
         x, a, hess = z[:d], z[d: 2 * d], z[2 * d:].reshape(d, d)
         alpha = schedule.drift_coef(t)
         gg = schedule.g2(t)
         s, jac, hess_s, grad_div_s, hess_div_s = score_second_derivatives(score, x, t, dx)
-        jac_pf = alpha * np.eye(d) - 0.5 * gg * jac
+        jac_pf = alpha * eye - 0.5 * gg * jac
         x_dot = alpha * x - 0.5 * gg * s
         a_dot = -jac_pf.T @ a + 0.5 * gg * grad_div_s
         h_dot = (-jac_pf.T @ hess - hess @ jac_pf
@@ -228,6 +229,7 @@ def _first_order_rhs(score, schedule: Schedule, stencil: FdStencil, logq_derivs,
         raise ValueError("the subtraction scheme needs a second characteristic")
     d = schedule.dim
     dx = stencil.dx
+    eye = np.eye(d)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         state = OuterState.of(y)
@@ -259,7 +261,7 @@ def _first_order_rhs(score, schedule: Schedule, stencil: FdStencil, logq_derivs,
         # full flow Jacobian inside one absolute value: the linear drift and
         # the score part nearly cancel near stationarity, and splitting them
         # would inflate the bound by exp(int |a| + |g^2 J/2|) ~ 1e4
-        jac_pf = a * np.eye(d) - 0.5 * gg * jac
+        jac_pf = a * eye - 0.5 * gg * jac
         err1_dot = np.abs(jac_pf @ err1) + 0.5 * gg * local.grad_err
         err2_dot = abs(0.5 * gg * float(err1 @ grad_div_s)) + 0.5 * gg * local.lap_err
         return np.concatenate([f_x, delta_f, [div_delta_f], err1_dot, [err2_dot]])

@@ -33,8 +33,8 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.h < 0.0:
-            raise ValueError("h must be nonnegative")
+        if not 0.0 <= self.h < np.inf:  # also rejects NaN
+            raise ValueError(f"h must be finite and nonnegative, got {self.h}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
 

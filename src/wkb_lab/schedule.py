@@ -64,33 +64,38 @@ class Schedule:
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
 
-    def _check_pole(self, t):
-        if self.kind is ScheduleKind.COSINE and np.any(np.asarray(t) >= 1.0 - _COSINE_POLE_MARGIN):
+    def _time(self, t):
+        """``t`` checked against the cosine pole.  A float stays a float, so
+        one time costs no array round trip; anything else becomes an array."""
+        scalar = isinstance(t, float)
+        if not scalar:
+            t = np.asarray(t, dtype=float)
+        pole = 1.0 - _COSINE_POLE_MARGIN
+        if self.kind is ScheduleKind.COSINE and (t >= pole if scalar else np.any(t >= pole)):
             raise ValueError("cosine schedule evaluated at the t=1 tangent pole")
+        return t
 
     def drift_coef(self, t):
         """a(t) with f(x, t) = a(t) * x."""
-        self._check_pole(t)
-        t = np.asarray(t, dtype=float)
+        t = self._time(t)
         if self.kind is ScheduleKind.SIMPLE:
             out = -0.5 * self.beta * t
         elif self.kind is ScheduleKind.COSINE:
             out = -0.5 * np.pi * np.tan(0.5 * np.pi * t)
         else:
-            out = np.full_like(t, -0.5 * self.beta)
-        return out if out.ndim else float(out)
+            out = _constant(t, -0.5 * self.beta)
+        return _unwrap(out)
 
     def g2(self, t):
         """Diffusion variance rate g(t)^2."""
-        self._check_pole(t)
-        t = np.asarray(t, dtype=float)
+        t = self._time(t)
         if self.kind is ScheduleKind.SIMPLE:
             out = self.beta * t
         elif self.kind is ScheduleKind.COSINE:
             out = np.pi * np.tan(0.5 * np.pi * t)
         else:
-            out = np.full_like(t, self.beta)
-        return out if out.ndim else float(out)
+            out = _constant(t, self.beta)
+        return _unwrap(out)
 
     def alpha(self, t):
         """Signal scale alpha(t) = exp(int_0^t a)."""
@@ -113,3 +118,13 @@ class Schedule:
         else:
             out = -np.expm1(-self.beta * t)
         return out if out.ndim else float(out)
+
+
+def _constant(t, value: float):
+    """``value`` at every time in ``t`` (a NaN time included)."""
+    return value if isinstance(t, float) else np.full_like(t, value)
+
+
+def _unwrap(out):
+    """An array result as is; a scalar or 0-d result as a float."""
+    return out if isinstance(out, np.ndarray) and out.ndim else float(out)

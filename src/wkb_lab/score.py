@@ -5,14 +5,22 @@ The network is fixed to four dense layers (d+1 -> 128 -> 128 -> 128 -> d)
 with swish activations after the first three, the scalar time concatenated
 to the state at the input.  The backward pass is specialised to this
 architecture and is verified against central finite differences in the test
-suite.  Spatial derivatives of any score (divergence, Jacobian action and
-derivatives of the divergence) are always taken with central-difference
+suite.  Spatial derivatives of any score (Jacobian, derivatives of the
+divergence, second derivatives) are always taken with central-difference
 stencils, never by differentiating the network; that keeps one stencil
-policy for everything downstream.
+policy for everything downstream.  Each derivative helper scores the
+distinct points of its stencil sweep in one call and applies one cached
+linear operator, built from the ``stencil`` formulas, to the values.
+
+The MLP and the analytic score take the time as a float (one time for every
+row) or as one time per row; a float builds no time array, and both forms
+give the same bits.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -107,8 +115,10 @@ class MlpScore:
 
     def _forward(self, x, t, keep_cache: bool = False):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        tcol = np.broadcast_to(np.asarray(t, dtype=float).reshape(-1, 1), (x.shape[0], 1))
-        h = np.concatenate([x, tcol], axis=1)
+        n, d = x.shape
+        h = np.empty((n, d + 1))  # the state, then the time in the last column
+        h[:, :d] = x
+        h[:, d] = t if isinstance(t, float) else np.ravel(t)
         cache = [] if keep_cache else None
         with np.errstate(over="ignore"):
             for i in range(_N_HIDDEN):
@@ -162,19 +172,109 @@ class AnalyticGaussianScore:
     dim: int = 1
 
     def __post_init__(self):
-        if self.beta <= 0.0 or self.v0 <= 0.0:
+        if not (self.beta > 0.0 and self.v0 > 0.0):  # also rejects NaN
             raise ValueError("beta and v0 must be positive")
 
     def v_t(self, t):
-        return 1.0 + np.exp(-self.beta * np.asarray(t, dtype=float)) * (self.v0 - 1.0)
+        if not isinstance(t, float):
+            t = np.asarray(t, dtype=float)
+        return 1.0 + np.exp(-self.beta * t) * (self.v0 - 1.0)
 
     def __call__(self, x: np.ndarray, t) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        vt = np.asarray(self.v_t(t), dtype=float).reshape(-1, 1)
+        vt = self.v_t(t)
+        if not isinstance(t, float):  # one time per row, or one for all
+            vt = np.asarray(vt, dtype=float).reshape(-1, 1)
         return -(1.0 + self.epsilon) * x / vt
 
 
 # -- spatial derivatives by central differences -----------------------------
+#
+# A sweep's layout lists, as offsets from x, every stencil point of every
+# centre it differentiates around, and maps the score values on those rows
+# to the derivatives by the ``stencil`` formulas.  Rows that land on one
+# point (x + dx e_1 - dx e_1 is x) are the same offset: ``_sweep`` keeps each
+# distinct offset once and turns the map into one matrix on their values.
+
+def _jacobian_layout(d: int, dx: float):
+    """The 2d axis offsets; their values -> (J,)."""
+    return stencil.offsets(d, dx), lambda vals: (stencil.jacobian(vals, dx),)
+
+
+def _div_layout(d: int, dx: float):
+    """The axis offsets of each star centre; their values -> (div s,
+    grad(div s), laplacian(div s)), from the divergence at each centre."""
+    centers = stencil.star(np.zeros(d), dx)
+    n = centers.shape[0]
+
+    def assemble(vals):
+        divs = stencil.divergence(vals.reshape(n, 2 * d, d), dx)
+        return (divs[0], stencil.gradient(divs[1:], dx),
+                stencil.laplacian(divs[0], divs[1:], dx))
+
+    return stencil.points(centers, dx).reshape(-1, d), assemble
+
+
+def _second_layout(d: int, dx: float):
+    """The star and diagonal centres, then each centre's axis offsets;
+    their values -> (s, J, hess s, grad(div s), hess(div s)).  J comes from
+    the axis centres, ``hess s[k]`` from all centres, and the divergence at
+    every centre gives its gradient and Hessian."""
+    zero = np.zeros(d)
+    centers = np.vstack([stencil.star(zero, dx), stencil.diagonal_points(zero, dx)])
+    n, na = centers.shape[0], 1 + 2 * d
+
+    def assemble(vals):
+        s_c = vals[:n]
+        divs = stencil.divergence(vals[n:].reshape(n, 2 * d, d), dx)
+        return (s_c[0], stencil.jacobian(s_c[1:na], dx),
+                stencil.hessian(s_c[0], s_c[1:na].T, s_c[na:].T, dx),
+                stencil.gradient(divs[1:na], dx),
+                stencil.hessian(divs[0], divs[1:na], divs[na:], dx))
+
+    return np.vstack([centers, stencil.points(centers, dx).reshape(-1, d)]), assemble
+
+
+@functools.lru_cache(maxsize=32)
+def _sweep(layout, d: int, dx: float):
+    """(offsets, operator, parts) of one sweep at spacing dx in d dimensions.
+
+    ``offsets`` holds the layout's distinct rows; ``operator`` maps the
+    flattened score values there to the flattened outputs; ``parts`` gives
+    each output's (start, stop, shape) in that vector.  The operator's
+    columns are the assembly applied to unit values on the layout's rows,
+    with the columns of rows that coincide summed.  Both arrays are cached
+    and read-only.
+    """
+    rows, assemble = layout(d, dx)
+    ids: dict = {}
+    distinct = [ids.setdefault(tuple(r), len(ids)) for r in rows.tolist()]
+    offsets = np.array(list(ids), dtype=float).reshape(-1, d)
+    unit, cols = np.zeros(rows.shape), []
+    for k in range(rows.size):
+        unit.flat[k] = 1.0
+        outs = assemble(unit)
+        cols.append(np.concatenate([np.ravel(o) for o in outs]))
+        unit.flat[k] = 0.0
+    operator = np.zeros((cols[0].size, offsets.size))
+    for k, col in enumerate(cols):
+        row, comp = divmod(k, d)
+        operator[:, distinct[row] * d + comp] += col
+    offsets.flags.writeable = operator.flags.writeable = False
+    shapes = [np.shape(o) for o in outs]
+    stops = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+    parts = tuple(zip([0] + stops[:-1], stops, shapes))
+    return offsets, operator, parts
+
+
+def _derivatives(layout, score, x, t, dx: float) -> list:
+    """The outputs of one sweep around x: one score call on the distinct
+    points and one matrix product."""
+    x = np.asarray(x, dtype=float)
+    offsets, operator, parts = _sweep(layout, x.size, dx)
+    out = operator @ score_batch(score, x + offsets, t).ravel()
+    return [out[lo:hi].reshape(shape) for lo, hi, shape in parts]
+
 
 def score_batch(score, xs: np.ndarray, t) -> np.ndarray:
     """Evaluate a score on a stack of points at a common time."""
@@ -182,45 +282,30 @@ def score_batch(score, xs: np.ndarray, t) -> np.ndarray:
 
 
 def score_jacobian(score, x: np.ndarray, t: float, dx: float) -> np.ndarray:
-    """J[i, j] = d s_i / d x_j by central differences."""
-    return stencil.jacobian(score_batch(score, stencil.points(x, dx), t), dx)
+    """J[i, j] = d s_i / d x_j by central differences (2d rows)."""
+    return _derivatives(_jacobian_layout, score, x, t, dx)[0]
 
 
 def score_div_derivatives(score, x: np.ndarray, t: float, dx: float):
     """(div s, grad(div s), laplacian(div s)) from one batched stencil sweep.
 
     grad and laplacian of the divergence are nested central differences: the
-    divergence itself is evaluated at x and at the 2d axis offsets.
+    divergence itself is evaluated at x and at the 2d axis offsets, which
+    takes the score at 2d^2 + 2d + 1 distinct points (13 in 2-D).
     """
-    centers = stencil.star(x, dx)  # (1+2d, d)
-    n, d = centers.shape
-    vals = score_batch(score, stencil.points(centers, dx).reshape(-1, d), t)
-    divs = stencil.divergence(vals.reshape(n, 2 * d, d), dx)
-    return (float(divs[0]), stencil.gradient(divs[1:], dx),
-            float(stencil.laplacian(divs[0], divs[1:], dx)))
+    div, grad_div, lap_div = _derivatives(_div_layout, score, x, t, dx)
+    return float(div), grad_div, float(lap_div)
 
 
 def score_second_derivatives(score, x: np.ndarray, t: float, dx: float):
     """(s, J, hess s, grad(div s), hess(div s)) from one gathered stencil sweep.
 
     The centres are the star and the diagonal points around x; the score is
-    evaluated at each centre and at each centre's 2d axis offsets, in one
-    call of (2d^2 + 1)(2d + 1) rows (45 in 2-D).  J[i, j] = d s_i / d x_j
-    comes from the axis centres, ``hess_s[k]`` is the Hessian of s_k from
-    all centres, and the divergence at every centre gives its gradient and
-    Hessian.
+    evaluated at each centre and at each centre's 2d axis offsets: the
+    (2d^2 + 1)(2d + 1) stencil points fall on 5, 21 and 57 distinct points
+    in 1, 2 and 3 dimensions (45 rows on 21 points in 2-D).
     """
-    d = x.size
-    centers = np.vstack([stencil.star(x, dx), stencil.diagonal_points(x, dx)])
-    n, na = centers.shape[0], 1 + 2 * d
-    vals = score_batch(score, np.vstack([centers,
-                                         stencil.points(centers, dx).reshape(-1, d)]), t)
-    s_c = vals[:n]
-    divs = stencil.divergence(vals[n:].reshape(n, 2 * d, d), dx)
-    jac = stencil.jacobian(s_c[1:na], dx)
-    hess_s = stencil.hessian(s_c[0], s_c[1:na].T, s_c[na:].T, dx)
-    hess_div = stencil.hessian(divs[0], divs[1:na], divs[na:], dx)
-    return s_c[0], jac, hess_s, stencil.gradient(divs[1:na], dx), hess_div
+    return tuple(_derivatives(_second_layout, score, x, t, dx))
 
 
 # -- denoising score matching loss -------------------------------------------

@@ -213,6 +213,8 @@ def test_nll_echo_records_flags_and_the_checkpoint_schedule(mini_checkpoint, tmp
     ["gaussian", "--beta", "-1"],
     ["gaussian", "--beta", "nan"],
     ["gaussian", "--n-h", "-1"],
+    ["sample", "--h", "nan"],
+    ["sample", "--h", "inf"],
 ])
 def test_bad_flag_value_is_a_config_error(mini_checkpoint, tmp_path, capsys, argv):
     config, ckpt = mini_checkpoint
@@ -278,4 +280,12 @@ def test_negative_config_seed_is_a_config_error(tmp_path, section):
     path = tmp_path / "seed.ini"
     path.write_text(f"[{section}]\nseed = -1\n")
     with pytest.raises(ConfigError, match="bad seed"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("h_values", ["0,nan", "inf", "0,-1"])
+def test_bad_sweep_h_is_a_config_error(tmp_path, h_values):
+    path = tmp_path / "sweep.ini"
+    path.write_text(f"[sweep]\nh_values = {h_values}\n")
+    with pytest.raises(ConfigError, match="bad sweep: "):
         load_config(str(path))

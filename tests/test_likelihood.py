@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import ORACLE_T_MIN, logq_characteristic, oracle_model
 from nested_reference import nested_nll_first_order
+import wkb_lab.likelihood as likelihood
 from wkb_lab import stencil
 from wkb_lab.data import make_swiss_roll, write_table
 from wkb_lab.likelihood import (FdStencil, OuterState, _pf_with_div_rhs, logq_pf,
@@ -248,3 +251,34 @@ def test_dataset_rejects_unknown_scheme_before_any_point():
     _, sched, score = pipeline(0.3)
     with pytest.raises(ValueError):
         nll_dataset(score, sched, np.zeros((2, 2)), err_scheme="nonsense")
+
+
+def test_score_rows_per_right_hand_side_are_pinned(monkeypatch):
+    # a timing-free cost guard: every right-hand side of a pass makes the
+    # same score calls, and a change that adds rows shows here
+    _, sched, exact = pipeline(0.3)
+    rows = []
+
+    def score(x, t):
+        rows.append(np.atleast_2d(x).shape[0])
+        return exact(x, t)
+
+    per_pass = {}
+
+    def counting_solve(problem, **kwargs):
+        rhs, name = problem.rhs, problem.rhs.__qualname__.split(".")[0]
+
+        def counted(t, y):
+            start = len(rows)
+            out = rhs(t, y)
+            per_pass.setdefault(name, set()).add(tuple(rows[start:]))
+            return out
+
+        return solve_adaptive(dataclasses.replace(problem, rhs=counted), **kwargs)
+
+    monkeypatch.setattr(likelihood, "solve_adaptive", counting_solve)
+    nll_first_order(score, sched, np.array([0.3, -0.2]), FdStencil(0.01),
+                    tol_outer=1e-2, tol_inner=1e-3)
+    assert per_pass == {"_pf_with_div_rhs": {(5,)},           # zeroth order
+                        "_characteristic_rhs": {(21,)},       # backward
+                        "_first_order_rhs": {(1, 4, 13)}}     # outer

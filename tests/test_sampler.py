@@ -151,8 +151,9 @@ def test_trained_model_trajectories_finite_across_h(trained_zoo):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SamplerConfig(h=-0.1)
+    for h in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SamplerConfig(h=h)
     with pytest.raises(ValueError):
         SamplerConfig(n_steps=0)
     with pytest.raises(ValueError):

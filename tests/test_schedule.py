@@ -96,3 +96,25 @@ def test_vectorized_evaluation():
     out = SIMPLE.drift_coef(ts)
     assert out.shape == ts.shape
     np.testing.assert_allclose(out, -10.0 * ts)
+
+
+def test_scalar_and_array_times_give_the_same_bits():
+    # a float time takes a path without arrays; it must agree bit for bit
+    # with the array path, up to the cosine pole and at a NaN time
+    pole = 1.0 - 1e-9
+    ts = np.concatenate([np.linspace(0.0, 0.999, 201), 1.0 - np.geomspace(1e-3, 2e-9, 40),
+                         [np.nextafter(pole, 0.0), np.nan]])
+    for sched in ALL:
+        for method in (sched.drift_coef, sched.g2):
+            arr = method(ts)
+            assert all(type(method(float(t))) is float for t in ts)
+            for as_time in (float, np.float64, np.array):
+                assert np.array([method(as_time(t)) for t in ts]).tobytes() == arr.tobytes()
+    for t in (pole, 1.0, np.float64(pole)):
+        for method in (COSINE.drift_coef, COSINE.g2):
+            with pytest.raises(ValueError):
+                method(t)
+            with pytest.raises(ValueError):
+                method(np.array([0.5, t]))
+    assert np.isnan(SIMPLE.drift_coef(np.nan)) and np.isnan(COSINE.g2(np.nan))
+    assert CONST.drift_coef(np.nan) == -0.5 and CONST.g2(np.nan) == 1.0

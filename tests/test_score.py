@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import stencil_reference
 from mlp_reference import backprop_expit, forward_expit
 
 from wkb_lab import stencil
@@ -43,6 +44,26 @@ def test_analytic_score_is_gaussian_gradient():
     logn = lambda z: -0.5 * np.log(2 * np.pi * vt) - z * z / (2 * vt)
     want = (logn(x + h) - logn(x - h)) / (2 * h)
     assert score(np.array([x]), t)[0, 0] == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("beta, v0", [(np.nan, 2.0), (1.0, np.nan), (0.0, 2.0),
+                                      (1.0, -1.0)])
+def test_analytic_score_rejects_bad_parameters(beta, v0):
+    with pytest.raises(ValueError):
+        AnalyticGaussianScore(beta=beta, v0=v0, dim=2)
+
+
+@pytest.mark.parametrize("rows", [1, 45, 512])
+def test_scalar_and_array_times_give_the_same_bits(rows):
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal((rows, 2))
+    for score in (AnalyticGaussianScore(beta=1.3, v0=2.0, epsilon=0.3, dim=2),
+                  MlpScore.create(dim=2, seed=rows)):
+        for t in (0.01, 0.37, 1.0):
+            scalar = score(x, t)
+            assert scalar.tobytes() == score(x, np.full(rows, t)).tobytes()
+            assert scalar.tobytes() == score(x, np.float64(t)).tobytes()
+            assert scalar.tobytes() == score(x, np.array(t)).tobytes()
 
 
 def test_swish_forward_is_smooth_at_origin():
@@ -192,17 +213,50 @@ def test_second_derivatives_exact_on_quadratic_score(d):
     score = _QuadraticScore(d, seed=d)
     x = np.linspace(-0.5, 0.7, d)
     s, jac, hess_s, grad_div, hess_div = score_second_derivatives(score, x, 0.3, dx=0.05)
-    assert score.rows == [(2 * d * d + 1) * (2 * d + 1)]  # one call, 45 rows in 2-D
+    # one call on the distinct points of the (2d^2 + 1)(2d + 1) stencil rows
+    assert score.rows == [{1: 5, 2: 21, 3: 57}[d]]
     np.testing.assert_allclose(s, score(x, 0.3)[0], atol=1e-12)
     np.testing.assert_allclose(jac, score.a @ x + score.b, atol=1e-10)
     np.testing.assert_allclose(hess_s, score.a, atol=1e-8)
     # div s = sum_k (A_k x + B_k)_k is affine, with gradient sum_k A_k[k, :]
     np.testing.assert_allclose(grad_div, np.einsum("kkj->j", score.a), atol=1e-8)
     np.testing.assert_allclose(hess_div, 0.0, atol=1e-5)
-    # the first-derivative values agree with the per-call helpers
+    # the first-derivative values agree with the per-call helpers, which
+    # also score each distinct point of their sweeps once
     np.testing.assert_allclose(jac, score_jacobian(score, x, 0.3, dx=0.05), atol=1e-12)
     np.testing.assert_allclose(grad_div, score_div_derivatives(score, x, 0.3, dx=0.05)[1],
                                atol=1e-8)
+    assert score.rows[-2:] == [2 * d, 2 * d * d + 2 * d + 1]
+
+
+# (order of each output: the number of dx it is divided by)
+_HELPERS = [(score_jacobian, stencil_reference.score_jacobian, (1,)),
+            (score_div_derivatives, stencil_reference.score_div_derivatives, (1, 2, 3)),
+            (score_second_derivatives, stencil_reference.score_second_derivatives,
+             (0, 1, 2, 2, 3))]
+
+
+@pytest.mark.parametrize("dx", [0.05, 0.01])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["quadratic", "analytic", "mlp"])
+def test_derivative_helpers_match_the_reference_assembly(kind, d, dx):
+    # the helpers evaluate each distinct stencil point once and apply one
+    # operator; the reference evaluates every row and applies the stencil
+    # formulas.  Each output of order k is compared on its own scale, the
+    # score's size over dx^k; the worst ratio seen was 1.2e-15.
+    score = {"quadratic": _QuadraticScore(d, seed=d),
+             "analytic": AnalyticGaussianScore(beta=1.3, v0=2.0, epsilon=0.3, dim=d),
+             "mlp": MlpScore.create(dim=d, seed=d)}[kind]
+    x, t = np.linspace(-0.5, 0.7, d), 0.3
+    size = max(1.0, np.max(np.abs(score(x + 2 * dx * np.eye(d), t))))
+    for fast, ref, orders in _HELPERS:
+        got, want = fast(score, x, t, dx), ref(score, x, t, dx)
+        if not isinstance(want, tuple):
+            got, want = (got,), (want,)
+        assert len(got) == len(want) == len(orders)
+        for g, w, k in zip(got, want, orders):
+            assert type(g) is type(w) and np.shape(g) == np.shape(w)
+            assert np.max(np.abs(np.subtract(g, w))) <= 1e-9 * size / dx ** k
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
