@@ -27,6 +27,7 @@ coefficients in h.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,8 @@ class GaussianModel:
     def __post_init__(self):
         if not (self.beta > 0.0 and self.v0 > 0.0 and self.T > 0.0):  # rejects NaN too
             raise ValueError("beta, v0 and T must be positive")
+        if not math.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
 
     def v_t(self, t):
         """Forward-process variance 1 + e^{-beta t} (v0 - 1)."""

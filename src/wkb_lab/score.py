@@ -13,8 +13,8 @@ distinct points of its stencil sweep in one call and applies one cached
 linear operator, built from the ``stencil`` formulas, to the values.
 
 The MLP and the analytic score take the time as a float (one time for every
-row) or as one time per row; a float builds no time array, and both forms
-give the same bits.
+row) or as one time per row, and both forms give the same bits; the
+analytic score builds no time array for a float.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ class MlpScore:
         n, d = x.shape
         h = np.empty((n, d + 1))  # the state, then the time in the last column
         h[:, :d] = x
-        h[:, d] = t if isinstance(t, float) else np.ravel(t)
+        h[:, d] = np.ravel(t)  # one time for every row, or one per row
         cache = [] if keep_cache else None
         with np.errstate(over="ignore"):
             for i in range(_N_HIDDEN):
@@ -174,6 +174,8 @@ class AnalyticGaussianScore:
     def __post_init__(self):
         if not (self.beta > 0.0 and self.v0 > 0.0):  # also rejects NaN
             raise ValueError("beta and v0 must be positive")
+        if not math.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
 
     def v_t(self, t):
         if not isinstance(t, float):

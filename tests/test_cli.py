@@ -215,6 +215,8 @@ def test_nll_echo_records_flags_and_the_checkpoint_schedule(mini_checkpoint, tmp
     ["gaussian", "--n-h", "-1"],
     ["sample", "--h", "nan"],
     ["sample", "--h", "inf"],
+    ["gaussian", "--eps", "nan"],
+    ["gaussian", "--eps", "inf"],
 ])
 def test_bad_flag_value_is_a_config_error(mini_checkpoint, tmp_path, capsys, argv):
     config, ckpt = mini_checkpoint

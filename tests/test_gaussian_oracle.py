@@ -16,6 +16,14 @@ def test_v_t_values():
     assert BASE.v_t(1.0) == pytest.approx(1.0 + np.exp(-1.0))
 
 
+@pytest.mark.parametrize("kwargs", [{"beta": np.nan}, {"v0": 0.0}, {"T": -1.0},
+                                    {"epsilon": np.nan}, {"epsilon": np.inf},
+                                    {"epsilon": -np.inf}])
+def test_model_rejects_bad_parameters(kwargs):
+    with pytest.raises(ValueError):
+        GaussianModel(**{"beta": 1.0, "v0": 2.0, "epsilon": 0.3, "T": 3.0, **kwargs})
+
+
 def test_vprime_reduces_to_v_when_score_exact():
     model = GaussianModel(beta=1.0, v0=2.0, epsilon=0.0, T=3.0)
     for h in (0.0, 0.3, 1.0):

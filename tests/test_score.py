@@ -46,15 +46,18 @@ def test_analytic_score_is_gaussian_gradient():
     assert score(np.array([x]), t)[0, 0] == pytest.approx(want, rel=1e-8)
 
 
-@pytest.mark.parametrize("beta, v0", [(np.nan, 2.0), (1.0, np.nan), (0.0, 2.0),
-                                      (1.0, -1.0)])
-def test_analytic_score_rejects_bad_parameters(beta, v0):
+@pytest.mark.parametrize("beta, v0, eps", [(np.nan, 2.0, 0.0), (1.0, np.nan, 0.0),
+                                           (0.0, 2.0, 0.0), (1.0, -1.0, 0.0),
+                                           (1.0, 2.0, np.nan), (1.0, 2.0, np.inf)])
+def test_analytic_score_rejects_bad_parameters(beta, v0, eps):
     with pytest.raises(ValueError):
-        AnalyticGaussianScore(beta=beta, v0=v0, dim=2)
+        AnalyticGaussianScore(beta=beta, v0=v0, epsilon=eps, dim=2)
 
 
 @pytest.mark.parametrize("rows", [1, 45, 512])
 def test_scalar_and_array_times_give_the_same_bits(rows):
+    # a float time takes the analytic score's scalar path, and fills the
+    # MLP's time column; one time per row must give the same bits
     rng = np.random.default_rng(rows)
     x = rng.standard_normal((rows, 2))
     for score in (AnalyticGaussianScore(beta=1.3, v0=2.0, epsilon=0.3, dim=2),
