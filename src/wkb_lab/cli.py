@@ -39,7 +39,7 @@ from .sampler import SamplerConfig, sample_sde
 from .schedule import Schedule
 from .score import checkpoint_load, checkpoint_save
 from .train import TrainConfig, train
-from .wasserstein import w2_exact
+from .wasserstein import _MAX_POINTS as _W2_MAX_POINTS, w2_exact
 
 _ENV_SEED = "WKB_LAB_SEED"
 
@@ -166,6 +166,13 @@ def _make_dataset(cfg: RunConfig) -> data_mod.PointCloud:
     return data_mod.make_25gaussian(ds["n"], seed=ds["seed"])
 
 
+def _threads(args) -> int:
+    """The ``--threads`` worker count, at least one."""
+    if args.threads < 1:
+        raise ConfigError(f"bad threads: --threads must be >= 1, got {args.threads}")
+    return args.threads
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -234,6 +241,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_nll(args) -> int:
+    threads = _threads(args)
     model, trained_schedule = _load_checkpoint(args)
     cfg = load_config(args.config, {"nll.dx": args.dx, "nll.tol_outer": args.tol_outer,
                                     "nll.tol_inner": args.tol_inner}, trained_schedule)
@@ -245,7 +253,7 @@ def cmd_nll(args) -> int:
     summary = nll_dataset(model, cfg.make_schedule(model.dim), cloud.points[idx],
                           stencil=FdStencil(dx=nl["dx"]),
                           tol_outer=nl["tol_outer"], tol_inner=nl["tol_inner"],
-                          err_scheme=args.scheme, threads=args.threads)
+                          err_scheme=args.scheme, threads=threads)
     out = _out_dir(args)
     data_mod.write_table(out / "nll_table.tsv", *summary.table(),
                          echo={**cfg.echo(), "nll.scheme": args.scheme})
@@ -270,18 +278,25 @@ def _w2_trial(job):
 def cmd_w2_sweep(args) -> int:
     from concurrent.futures import ProcessPoolExecutor
 
+    threads = _threads(args)
     model, trained_schedule = _load_checkpoint(args)
     cfg = load_config(args.config, trained_schedule)
-    schedule = cfg.make_schedule(model.dim)
     sw = cfg.sweep
     n = sw["n_samples"]
+    # each trial compares n samples with n validation points of the dataset
+    if n > cfg.dataset["n"]:
+        raise ConfigError(f"bad sweep: n_samples {n} exceeds dataset.n {cfg.dataset['n']}")
+    if n > _W2_MAX_POINTS:
+        raise ConfigError(f"bad sweep: n_samples {n} exceeds the {_W2_MAX_POINTS} points "
+                          f"of an exact W2")
+    schedule = cfg.make_schedule(model.dim)
     cloud = _make_dataset(cfg)
     rows = []
     for h in _parse_h_values(sw["h_values"]):
         jobs = [(model, schedule, cloud.points, cfg.dataset["seed"],
                  cfg.train["seed"], n, h, trial) for trial in range(sw["trials"])]
-        if args.threads > 1:
-            with ProcessPoolExecutor(max_workers=args.threads) as pool:
+        if threads > 1:
+            with ProcessPoolExecutor(max_workers=threads) as pool:
                 dists = list(pool.map(_w2_trial, jobs))
         else:
             dists = [_w2_trial(job) for job in jobs]

@@ -45,9 +45,8 @@ from .error_est import (LocalErr, local_err_model_from_derivs,
 from .errors import WkbLabError
 from .ode import OdeProblem, solve_adaptive
 from .schedule import Schedule
-from .score import (score_batch, score_div_derivatives, score_jacobian,
+from .score import (score_batch, score_div_derivatives, score_divergence, score_jacobian,
                     score_second_derivatives)
-from .stencil import divergence, points
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -93,14 +92,12 @@ def _pf_with_div_rhs(score, schedule: Schedule, m: int, dx: float):
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         X = y[: m * d].reshape(m, d)
         a = schedule.drift_coef(t)
-        gg = schedule.g2(t)
-        pts = np.concatenate([X, points(X, dx).reshape(-1, d)])
-        vals = score_batch(score, pts, t)
-        s = vals[:m]
-        div_s = divergence(vals[m:].reshape(m, 2 * d, d), dx)
-        fpf = a * X - 0.5 * gg * s
-        dlog = d * a - 0.5 * gg * div_s
-        return np.concatenate([fpf.ravel(), dlog])
+        half_gg = 0.5 * schedule.g2(t)
+        s, div_s = score_divergence(score, X, t, dx)
+        out = np.empty(y.size)  # [flow of each point, divergence of each]
+        np.subtract(X * a, s * half_gg, out=out[: m * d].reshape(m, d))
+        np.subtract(d * a, div_s * half_gg, out=out[m * d:])
+        return out
 
     return rhs
 
@@ -148,14 +145,23 @@ def _characteristic_rhs(score, schedule: Schedule, dx: float):
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
         x, a, hess = z[:d], z[d: 2 * d], z[2 * d:].reshape(d, d)
         alpha = schedule.drift_coef(t)
-        gg = schedule.g2(t)
+        half_gg = 0.5 * schedule.g2(t)
         s, jac, hess_s, grad_div_s, hess_div_s = score_second_derivatives(score, x, t, dx)
-        jac_pf = alpha * eye - 0.5 * gg * jac
-        x_dot = alpha * x - 0.5 * gg * s
-        a_dot = -jac_pf.T @ a + 0.5 * gg * grad_div_s
-        h_dot = (-jac_pf.T @ hess - hess @ jac_pf
-                 + 0.5 * gg * (np.einsum("k,kij->ij", a, hess_s) + hess_div_s))
-        return np.concatenate([x_dot, a_dot, h_dot.ravel()])
+        neg_jac_pf_t = jac.T * half_gg  # -J_pf^T
+        neg_jac_pf_t -= eye * alpha
+        out = np.empty(z.size)  # [x_dot, a_dot, h_dot]
+        np.subtract(x * alpha, s * half_gg, out=out[:d])
+        np.add(neg_jac_pf_t.dot(a), grad_div_s * half_gg, out=out[d: 2 * d])
+        # sum_k a_k hess(s_k), one product over the flattened Hessians
+        drive = a.dot(hess_s.reshape(d, d * d))
+        drive += hess_div_s.ravel()
+        drive *= half_gg
+        # -J_pf^T H - H J_pf, with -H J_pf = H (-J_pf^T)^T
+        h_dot = out[2 * d:].reshape(d, d)
+        neg_jac_pf_t.dot(hess, out=h_dot)
+        h_dot += hess.dot(neg_jac_pf_t.T)
+        h_dot += drive.reshape(d, d)
+        return out
 
     return rhs
 
@@ -180,7 +186,7 @@ def _logq_characteristic(score, schedule: Schedule, x_T: np.ndarray, tol: float,
     def derivs(t: float, x: np.ndarray):
         z = dense(t)
         hess = z[2 * d:].reshape(d, d)
-        return z[d: 2 * d] + hess @ (x - z[:d]), float(np.trace(hess))
+        return z[d: 2 * d] + hess.dot(x - z[:d]), float(hess.trace())
 
     return derivs
 
@@ -232,10 +238,10 @@ def _first_order_rhs(score, schedule: Schedule, stencil: FdStencil, logq_derivs,
     eye = np.eye(d)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        state = OuterState.of(y)
-        x, delta_x, err1 = state.x, state.delta_x, state.err1
+        # the OuterState layout, sliced in place
+        x, delta_x, err1 = y[:d], y[d: 2 * d], y[2 * d + 1: 3 * d + 1]
         a = schedule.drift_coef(t)
-        gg = schedule.g2(t)
+        half_gg = 0.5 * schedule.g2(t)
 
         grad_logq, lap_logq = logq_derivs(t, x)
 
@@ -243,11 +249,13 @@ def _first_order_rhs(score, schedule: Schedule, stencil: FdStencil, logq_derivs,
         jac = score_jacobian(score, x, t, dx)
         div_s, grad_div_s, lap_div_s = score_div_derivatives(score, x, t, dx)
 
-        f_x = a * x - 0.5 * gg * s
-        drive = s - grad_logq
-        delta_f = a * delta_x - 0.5 * gg * (jac @ delta_x) - 0.5 * gg * drive
-        div_delta_f = (-0.5 * gg * float(delta_x @ grad_div_s)
-                       - 0.5 * gg * (div_s - lap_logq))
+        out = np.empty(y.size)  # [f_x, delta_f, div_delta_f, err1_dot, err2_dot]
+        np.subtract(x * a, s * half_gg, out=out[:d])
+        delta_f = out[d: 2 * d]
+        np.subtract(delta_x * a, jac.dot(delta_x) * half_gg, out=delta_f)
+        delta_f -= (s - grad_logq) * half_gg
+        out[2 * d] = (-half_gg * float(delta_x.dot(grad_div_s))
+                      - half_gg * (div_s - lap_logq))
 
         if err_scheme is None:
             local = LocalErr(grad_err=np.zeros(d), lap_err=0.0)
@@ -261,10 +269,13 @@ def _first_order_rhs(score, schedule: Schedule, stencil: FdStencil, logq_derivs,
         # full flow Jacobian inside one absolute value: the linear drift and
         # the score part nearly cancel near stationarity, and splitting them
         # would inflate the bound by exp(int |a| + |g^2 J/2|) ~ 1e4
-        jac_pf = a * eye - 0.5 * gg * jac
-        err1_dot = np.abs(jac_pf @ err1) + 0.5 * gg * local.grad_err
-        err2_dot = abs(0.5 * gg * float(err1 @ grad_div_s)) + 0.5 * gg * local.lap_err
-        return np.concatenate([f_x, delta_f, [div_delta_f], err1_dot, [err2_dot]])
+        jac_pf = eye * a - jac * half_gg
+        err1_dot = out[2 * d + 1: 3 * d + 1]
+        np.abs(jac_pf.dot(err1), out=err1_dot)
+        err1_dot += local.grad_err * half_gg
+        out[3 * d + 1] = (abs(half_gg * float(err1.dot(grad_div_s)))
+                          + half_gg * local.lap_err)
+        return out
 
     return rhs
 
@@ -319,8 +330,9 @@ def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
 @dataclass
 class NllSummary:
     """Aggregates over a cloud; ``corr_mean`` averages the pointwise
-    log-likelihood coefficient, so the NLL correction (the sign convention
-    of the emitted tables) is its negative."""
+    log-likelihood coefficient and ``corr_median`` is its median, so the NLL
+    correction (the sign convention of the emitted tables) is the negative
+    of either."""
 
     n_points: int
     n_failed: int
@@ -328,6 +340,7 @@ class NllSummary:
     nll_stderr: float
     corr_mean: float
     corr_stderr: float
+    corr_median: float
     err_mean: float
     reports: list[NllReport | None]
 
@@ -337,12 +350,15 @@ class NllSummary:
 
     def table(self) -> tuple[str, list[tuple], dict]:
         """(header, rows, footer) of the per-point table; the footer's
-        ``1st-corr`` differentiates the NLL, so it is ``nll_corr_mean``."""
+        ``1st-corr`` differentiates the NLL, so it is ``nll_corr_mean``, and
+        ``1st-corr-median`` is the median with that sign, which one outlying
+        point cannot move far."""
         rows = [(i, "nan", "nan", "nan", "failed") if rep is None
                 else (i, rep.log_q0, rep.correction1, rep.err_bound, "ok")
                 for i, rep in enumerate(self.reports)]
         footer = {"NLL": f"{self.nll_mean:.12g} +- {self.nll_stderr:.12g}",
                   "1st-corr": f"{self.nll_corr_mean:.12g} +- {self.corr_stderr:.12g}",
+                  "1st-corr-median": f"{-self.corr_median:.12g}",
                   "errors": f"{self.err_mean:.12g}",
                   "failed": f"{self.n_failed} of {self.n_points}"}
         return "point\tlog_q0\tcorrection1\terr_bound\tstatus", rows, footer
@@ -389,9 +405,11 @@ def nll_dataset(score, schedule: Schedule, cloud, stencil: FdStencil | None = No
         return mean, stderr
 
     nll_mean, nll_stderr = mean_stderr([-r.log_q0 for r in ok])
-    corr_mean, corr_stderr = mean_stderr([r.correction1 for r in ok])
+    corrs = [r.correction1 for r in ok]
+    corr_mean, corr_stderr = mean_stderr(corrs)
     err_mean = float(np.mean([r.err_bound for r in ok]))
     return NllSummary(n_points=len(reports), n_failed=n_failed,
                       nll_mean=nll_mean, nll_stderr=nll_stderr,
                       corr_mean=corr_mean, corr_stderr=corr_stderr,
+                      corr_median=float(np.median(corrs)),
                       err_mean=err_mean, reports=reports)

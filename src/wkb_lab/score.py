@@ -135,7 +135,7 @@ class MlpScore:
         out += self.biases[-1]
         if keep_cache:
             cache.append((h, None, None))
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NonFinite("score network produced a non-finite output")
         return out, cache
 
@@ -197,6 +197,13 @@ class AnalyticGaussianScore:
 # to the derivatives by the ``stencil`` formulas.  Rows that land on one
 # point (x + dx e_1 - dx e_1 is x) are the same offset: ``_sweep`` keeps each
 # distinct offset once and turns the map into one matrix on their values.
+
+def _star_layout(d: int, dx: float):
+    """The star: the centre, then its 2d axis offsets; their values ->
+    (s, div s)."""
+    return stencil.star(np.zeros(d), dx), lambda vals: (
+        vals[0], stencil.divergence(vals[1:], dx))
+
 
 def _jacobian_layout(d: int, dx: float):
     """The 2d axis offsets; their values -> (J,)."""
@@ -274,13 +281,25 @@ def _derivatives(layout, score, x, t, dx: float) -> list:
     points and one matrix product."""
     x = np.asarray(x, dtype=float)
     offsets, operator, parts = _sweep(layout, x.size, dx)
-    out = operator @ score_batch(score, x + offsets, t).ravel()
+    out = operator.dot(score_batch(score, x + offsets, t).ravel())
     return [out[lo:hi].reshape(shape) for lo, hi, shape in parts]
 
 
 def score_batch(score, xs: np.ndarray, t) -> np.ndarray:
     """Evaluate a score on a stack of points at a common time."""
     return np.asarray(score(xs, t), dtype=float)
+
+
+def score_divergence(score, xs: np.ndarray, t: float, dx: float):
+    """(s, div s) at each of a stack of points, from one call on their stars
+    (2d + 1 rows per point) and one matrix product: (m, d) -> (m, d), (m,);
+    a single point (d,) is a stack of one."""
+    xs = np.asarray(xs, dtype=float)
+    d = xs.shape[-1]
+    offsets, operator, _ = _sweep(_star_layout, d, dx)
+    vals = score_batch(score, (xs[..., None, :] + offsets).reshape(-1, d), t)
+    out = vals.reshape(-1, offsets.size).dot(operator.T)
+    return out[:, :d], out[:, d]
 
 
 def score_jacobian(score, x: np.ndarray, t: float, dx: float) -> np.ndarray:

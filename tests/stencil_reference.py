@@ -14,6 +14,15 @@ def _values(score, pts, t):
     return np.asarray(score(pts, t), dtype=float)
 
 
+def score_divergence(score, xs, t, dx):
+    """(s, div s) at each of a stack of points: the centres, then each
+    centre's 2d axis offsets, in one call of m(2d + 1) rows."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    m, d = xs.shape
+    vals = _values(score, np.concatenate([xs, stencil.points(xs, dx).reshape(-1, d)]), t)
+    return vals[:m], stencil.divergence(vals[m:].reshape(m, 2 * d, d), dx)
+
+
 def score_jacobian(score, x, t, dx):
     """J[i, j] = d s_i / d x_j by central differences."""
     return stencil.jacobian(_values(score, stencil.points(x, dx), t), dx)

@@ -291,3 +291,34 @@ def test_bad_sweep_h_is_a_config_error(tmp_path, h_values):
     path.write_text(f"[sweep]\nh_values = {h_values}\n")
     with pytest.raises(ConfigError, match="bad sweep: "):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("command", ["nll", "w2-sweep"])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_a_config_error(mini_checkpoint, tmp_path, capsys, command,
+                                              threads):
+    config, ckpt = mini_checkpoint
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--checkpoint", ckpt, "--threads", threads,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad threads: ") and "Traceback" not in err
+    assert not out.exists()  # rejected before any work
+
+
+@pytest.mark.parametrize("dataset_n, n_samples", [
+    (100, 200),    # more samples than validation points
+    (7000, 6000),  # more than an exact W2 takes
+])
+def test_sweep_sample_count_is_checked_before_sampling(mini_checkpoint, tmp_path, capsys,
+                                                       dataset_n, n_samples):
+    config, ckpt = mini_checkpoint
+    path = tmp_path / "sweep.ini"
+    path.write_text(MINI_CONFIG.replace("n = 600", f"n = {dataset_n}")
+                    .replace("n_samples = 64", f"n_samples = {n_samples}"))
+    out = tmp_path / "out"
+    assert main(["w2-sweep", "--config", str(path), "--checkpoint", ckpt,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad sweep: ") and "Traceback" not in err
+    assert not out.exists()

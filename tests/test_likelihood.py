@@ -5,14 +5,16 @@ import pytest
 
 from conftest import ORACLE_T_MIN, logq_characteristic, oracle_model
 from nested_reference import nested_nll_first_order
+import stencil_reference
 import wkb_lab.likelihood as likelihood
 from wkb_lab import stencil
 from wkb_lab.data import make_swiss_roll, write_table
-from wkb_lab.likelihood import (FdStencil, OuterState, _pf_with_div_rhs, logq_pf,
-                                logq_pf_batch, nll_dataset, nll_first_order, prior_grad,
-                                prior_logpdf)
+from wkb_lab.likelihood import (FdStencil, OuterState, _characteristic_rhs,
+                                _pf_with_div_rhs, logq_pf, logq_pf_batch, nll_dataset,
+                                nll_first_order, prior_grad, prior_logpdf)
 from wkb_lab.ode import OdeProblem, solve_adaptive
 from wkb_lab.schedule import Schedule, ScheduleKind
+from wkb_lab.score import AnalyticGaussianScore, MlpScore, score_second_derivatives
 from wkb_lab.train import TrainConfig, train
 
 
@@ -154,6 +156,8 @@ def test_table_writer_layout(tmp_path):
     assert "# NLL = " in text and "# 1st-corr = " in text and "# errors = " in text
     # table reports the NLL-derivative convention
     assert f"{-summary.corr_mean:.12g}" in text
+    corrs = [rep.correction1 for rep in summary.reports]
+    assert f"# 1st-corr-median = {-np.median(corrs):.12g}\n" in text
 
 
 @pytest.mark.parametrize("dx", [0.0, -0.01, float("nan")])
@@ -282,3 +286,67 @@ def test_score_rows_per_right_hand_side_are_pinned(monkeypatch):
     assert per_pass == {"_pf_with_div_rhs": {(5,)},           # zeroth order
                         "_characteristic_rhs": {(21,)},       # backward
                         "_first_order_rhs": {(1, 4, 13)}}     # outer
+
+
+def _scores(d):
+    sched = Schedule(kind=ScheduleKind.COSINE, beta=20.0, t_min=0.01, t_max=0.99, dim=d)
+    return sched, {"mlp": MlpScore.create(dim=d, seed=d),
+                   "analytic": AnalyticGaussianScore(beta=1.3, v0=2.0, epsilon=0.3, dim=d)}
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("kind", ["mlp", "analytic"])
+def test_zeroth_order_rhs_matches_the_stencil_formula(kind, m):
+    # the flow and the divergence term from the score on every stencil row,
+    # with the divergence taken by the stencil formula
+    d, dx = 2, 0.01
+    sched, scores = _scores(d)
+    score = scores[kind]
+    rhs = _pf_with_div_rhs(score, sched, m, dx)
+    rng = np.random.default_rng(m)
+    for t in (0.01, 0.4, 0.97):
+        y = rng.standard_normal(m * d + m)
+        s, div_s = stencil_reference.score_divergence(score, y[: m * d].reshape(m, d), t, dx)
+        a, half_gg = sched.drift_coef(t), 0.5 * sched.g2(t)
+        want = np.concatenate([(a * y[: m * d].reshape(m, d) - half_gg * s).ravel(),
+                               d * a - half_gg * div_s])
+        got = rhs(t, y)
+        assert got.shape == want.shape
+        # the flow is exact; the divergence rounds as a sum of dx-scaled terms
+        assert got[: m * d].tobytes() == want[: m * d].tobytes()
+        scale = half_gg * np.max(np.abs(s)) / dx
+        assert np.max(np.abs(got[m * d:] - want[m * d:])) <= 1e-14 * scale
+
+
+def _characteristic_rhs_einsum(score, schedule, dx):
+    """The backward right-hand side as first written, with the einsum."""
+    d = schedule.dim
+    eye = np.eye(d)
+
+    def rhs(t, z):
+        x, a, hess = z[:d], z[d: 2 * d], z[2 * d:].reshape(d, d)
+        alpha = schedule.drift_coef(t)
+        gg = schedule.g2(t)
+        s, jac, hess_s, grad_div_s, hess_div_s = score_second_derivatives(score, x, t, dx)
+        jac_pf = alpha * eye - 0.5 * gg * jac
+        x_dot = alpha * x - 0.5 * gg * s
+        a_dot = -jac_pf.T @ a + 0.5 * gg * grad_div_s
+        h_dot = (-jac_pf.T @ hess - hess @ jac_pf
+                 + 0.5 * gg * (np.einsum("k,kij->ij", a, hess_s) + hess_div_s))
+        return np.concatenate([x_dot, a_dot, h_dot.ravel()])
+
+    return rhs
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["mlp", "analytic"])
+def test_characteristic_rhs_matches_the_einsum_formula(kind, d):
+    sched, scores = _scores(d)
+    rhs = _characteristic_rhs(scores[kind], sched, 0.01)
+    ref = _characteristic_rhs_einsum(scores[kind], sched, 0.01)
+    rng = np.random.default_rng(d)
+    for t in (0.01, 0.4, 0.97):
+        z = rng.standard_normal(2 * d + d * d)
+        got, want = rhs(t, z), ref(t, z)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -4,9 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+import dopri5_reference
 from wkb_lab.errors import NonFinite, StepUnderflow
 from rk4_reference import solve_fixed_rk4
-from wkb_lab.ode import OdeProblem, solve_adaptive
+from wkb_lab import likelihood
+from wkb_lab.ode import _MAX_NORM, OdeProblem, solve_adaptive
+from wkb_lab.schedule import Schedule, ScheduleKind
+from wkb_lab.score import MlpScore
 
 
 def test_constant_rhs_zero_is_exact():
@@ -81,6 +85,20 @@ def test_nonfinite_rhs_raises():
 
     with pytest.raises((NonFinite, StepUnderflow)):
         solve_adaptive(OdeProblem(rhs, 0.0, 1.0, np.array([2.0])))
+
+
+def test_nan_from_the_rhs_mid_solve_is_a_nonfinite_state():
+    # finite at the start and for the first steps, NaN from t = 0.5 on
+    rhs = lambda t, y: -y if t < 0.5 else np.full_like(y, np.nan)
+    with pytest.raises(NonFinite, match="state not finite"):
+        solve_adaptive(OdeProblem(rhs, 0.0, 1.0, np.array([1.0, 2.0])))
+
+
+def test_finite_growth_past_the_norm_cap_raises():
+    # e^t stays finite on [0, 30] but passes the cap near t = 18.4
+    with pytest.raises(NonFinite, match="norm exceeded"):
+        solve_adaptive(OdeProblem(lambda t, y: y, 0.0, 30.0, np.array([1.0])))
+    assert np.exp(30.0) > _MAX_NORM
 
 
 def test_step_budget_exhaustion_raises():
@@ -174,3 +192,48 @@ def test_dense_output_tracks_the_solution_between_steps(log_tol, rate, omega, ba
                 want = flow(t - ta, ya)
                 scale = tol * (1.0 + np.max(np.abs(want)))
                 assert np.max(np.abs(sol.dense(t) - want)) < 2 * scale
+
+
+def _pulse(t, y):
+    # a narrow pulse in the decay rate: the controller rejects steps there
+    return -y * (1 + 100 * np.exp(-((t - 0.5) / 0.02) ** 2))
+
+
+def _characteristic_problem():
+    # the likelihood's backward (x, a, H) pass on an untrained network
+    sched = Schedule(kind=ScheduleKind.COSINE, beta=20.0, t_min=0.01, t_max=0.99, dim=2)
+    rhs = likelihood._characteristic_rhs(MlpScore.create(dim=2, seed=3), sched, 0.01)
+    z = np.concatenate([[0.4, -0.3], [-0.4, 0.3], -np.eye(2).ravel()])
+    return OdeProblem(rhs, sched.t_max, sched.t_min, z, tol=1e-5)
+
+
+_REFERENCE_PROBLEMS = {
+    "pulse-forward": lambda: OdeProblem(_pulse, 0.0, 1.0, np.array([1.0, -2.0]), tol=1e-7),
+    "pulse-backward": lambda: OdeProblem(_pulse, 1.0, 0.0, np.array([1.0, 0.5]), tol=1e-6),
+    "oscillator-backward": lambda: OdeProblem(_oscillator, 5.0, -1.0,
+                                              np.array([0.3, 1.0]), tol=1e-8),
+    "characteristic": _characteristic_problem,
+}
+
+
+@pytest.mark.parametrize("record_trace", [False, True])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_PROBLEMS))
+def test_solver_reproduces_the_reference_bit_for_bit(name, record_trace):
+    problem = _REFERENCE_PROBLEMS[name]()
+    got = solve_adaptive(problem, record_trace=record_trace)
+    want = dopri5_reference.solve_adaptive(problem, record_trace=True)
+    assert got.y_final.tobytes() == want.y_final.tobytes()
+    assert got.n_steps == want.n_steps and got.t_final == want.t_final
+    accepted = want.dense.t_start.size
+    if name.startswith("pulse"):
+        assert want.n_steps > accepted  # the problem exercises rejections
+    if not record_trace:
+        assert got.dense is None
+        return
+    for field in ("t_start", "h", "y_start", "q"):
+        assert getattr(got.dense, field).tobytes() == getattr(want.dense, field).tobytes()
+    # the interpolant at the knots, just inside them and at interior times
+    ts = [t for t0, h in zip(want.dense.t_start, want.dense.h)
+          for t in (t0, np.nextafter(t0 + h, t0), t0 + 0.3 * h, t0 + 0.71 * h)]
+    for t in ts:
+        assert got.dense(t).tobytes() == want.dense(t).tobytes()

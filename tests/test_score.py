@@ -11,8 +11,8 @@ from wkb_lab.errors import ArchitectureMismatch, CorruptFile, VersionMismatch
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.score import (AdamState, AnalyticGaussianScore, MlpScore, adam_step,
                            checkpoint_load, checkpoint_save, draw_dsm_noise,
-                           dsm_loss, score_div_derivatives, score_jacobian,
-                           score_second_derivatives)
+                           dsm_loss, score_div_derivatives, score_divergence,
+                           score_jacobian, score_second_derivatives)
 
 SCHED = Schedule(kind=ScheduleKind.SIMPLE, beta=20.0, dim=2)
 
@@ -233,7 +233,8 @@ def test_second_derivatives_exact_on_quadratic_score(d):
 
 
 # (order of each output: the number of dx it is divided by)
-_HELPERS = [(score_jacobian, stencil_reference.score_jacobian, (1,)),
+_HELPERS = [(score_divergence, stencil_reference.score_divergence, (0, 1)),
+            (score_jacobian, stencil_reference.score_jacobian, (1,)),
             (score_div_derivatives, stencil_reference.score_div_derivatives, (1, 2, 3)),
             (score_second_derivatives, stencil_reference.score_second_derivatives,
              (0, 1, 2, 2, 3))]
