@@ -146,7 +146,10 @@ def _validate(cfg: RunConfig) -> None:
     if not (nl["tol_outer"] > 0 and nl["tol_inner"] > 0 and nl["n_points"] >= 1):
         raise ConfigError("bad nll: tolerances must be positive and n_points >= 1")
     with _range_rules("sweep"):
-        for h in _parse_h_values(sw["h_values"]):
+        h_values = _parse_h_values(sw["h_values"])
+        if not h_values:
+            raise ValueError(f"h_values {sw['h_values']!r} lists no noise strength")
+        for h in h_values:
             SamplerConfig(h=h)
     if sw["trials"] < 1 or sw["n_samples"] < 1:
         raise ConfigError("bad sweep: trials and n_samples must be >= 1")
@@ -223,6 +226,8 @@ def _load_checkpoint(args):
 
 
 def cmd_sample(args) -> int:
+    if args.record < 0:
+        raise ConfigError(f"bad sample: --record must be >= 0, got {args.record}")
     model, trained_schedule = _load_checkpoint(args)
     cfg = load_config(args.config, {"sweep.n_samples": args.n}, trained_schedule)
     with _range_rules("sample"):
@@ -246,6 +251,10 @@ def cmd_nll(args) -> int:
     cfg = load_config(args.config, {"nll.dx": args.dx, "nll.tol_outer": args.tol_outer,
                                     "nll.tol_inner": args.tol_inner}, trained_schedule)
     nl = cfg.nll
+    # the table evaluates n_points distinct points of the dataset
+    if nl["n_points"] > cfg.dataset["n"]:
+        raise ConfigError(f"bad nll: n_points {nl['n_points']} exceeds dataset.n "
+                          f"{cfg.dataset['n']}")
     cloud = _make_dataset(cfg)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=cfg.dataset["seed"], spawn_key=(0x7A11,))))
@@ -291,6 +300,11 @@ def cmd_w2_sweep(args) -> int:
                           f"of an exact W2")
     schedule = cfg.make_schedule(model.dim)
     cloud = _make_dataset(cfg)
+    # w2_exact imports scipy.optimize on first use; importing it here, before
+    # the pools fork, lets every worker inherit it instead of importing it
+    # again in each worker of each per-h pool.
+    import scipy.optimize  # noqa: F401
+
     rows = []
     for h in _parse_h_values(sw["h_values"]):
         jobs = [(model, schedule, cloud.points, cfg.dataset["seed"],
@@ -312,9 +326,11 @@ def cmd_w2_sweep(args) -> int:
 
 
 def cmd_gaussian(args) -> int:
+    if args.n_h < 1:
+        raise ConfigError(f"bad gaussian: --n-h must be >= 1, got {args.n_h}")
     with _range_rules("gaussian"):
         model = GaussianModel(beta=args.beta, v0=args.v0, epsilon=args.eps, T=args.T)
-        hs = np.linspace(0.0, 1.0, args.n_h)
+    hs = np.linspace(0.0, 1.0, args.n_h)
     out = _out_dir(args)
     echo = {f"gaussian.{key}": val for key, val in asdict(model).items()}
     data_mod.write_table(out / "gaussian_curves.tsv", "h\tnll\tw2",

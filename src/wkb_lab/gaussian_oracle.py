@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .schedule import Schedule, ScheduleKind
 from .score import AnalyticGaussianScore
@@ -115,6 +114,8 @@ class GaussianModel:
         quadrature.  The identity is exact, so the residual is bounded by
         the quadrature tolerance.
         """
+        from scipy.integrate import quad  # loaded here only: it pulls in scipy.optimize
+
         k = (1.0 + h) * (1.0 + self.epsilon)
         lhs = 0.5 * np.log(self.v_t(self.T) / self.vprime_t(h, 0.0))
 

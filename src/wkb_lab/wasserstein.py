@@ -12,11 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import SizeMismatch
 
 _MAX_POINTS = 5000
+
+
+def linear_sum_assignment(cost_matrix):
+    """scipy's exact assignment solver, imported on first use.
+
+    Importing ``scipy.optimize`` adds about 50 MB of resident memory and
+    most of the package's import time, which the commands that never solve
+    an assignment should not pay.
+    """
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost_matrix)
 
 
 @dataclass

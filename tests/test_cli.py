@@ -217,15 +217,19 @@ def test_nll_echo_records_flags_and_the_checkpoint_schedule(mini_checkpoint, tmp
     ["sample", "--h", "inf"],
     ["gaussian", "--eps", "nan"],
     ["gaussian", "--eps", "inf"],
+    ["sample", "--record", "-3"],
+    ["gaussian", "--n-h", "0"],
 ])
 def test_bad_flag_value_is_a_config_error(mini_checkpoint, tmp_path, capsys, argv):
     config, ckpt = mini_checkpoint
     run = {"train": ["--config", config],
            "nll": ["--config", config, "--checkpoint", ckpt],
            "sample": ["--config", config, "--checkpoint", ckpt]}.get(argv[0], [])
-    assert main(argv + run + ["--out", str(tmp_path / "out")]) == 1
+    out = tmp_path / "out"
+    assert main(argv + run + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: bad ") and "Traceback" not in err
+    assert not out.exists()  # rejected before any work
 
 
 @pytest.mark.parametrize("argv", [
@@ -285,7 +289,7 @@ def test_negative_config_seed_is_a_config_error(tmp_path, section):
         load_config(str(path))
 
 
-@pytest.mark.parametrize("h_values", ["0,nan", "inf", "0,-1"])
+@pytest.mark.parametrize("h_values", ["0,nan", "inf", "0,-1", ","])
 def test_bad_sweep_h_is_a_config_error(tmp_path, h_values):
     path = tmp_path / "sweep.ini"
     path.write_text(f"[sweep]\nh_values = {h_values}\n")
@@ -321,4 +325,17 @@ def test_sweep_sample_count_is_checked_before_sampling(mini_checkpoint, tmp_path
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: bad sweep: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_nll_point_count_above_dataset_size_is_a_config_error(mini_checkpoint, tmp_path,
+                                                              capsys):
+    config, ckpt = mini_checkpoint
+    path = tmp_path / "few.ini"
+    path.write_text(MINI_CONFIG.replace("n = 600", "n = 6")
+                    .replace("n_points = 2", "n_points = 50"))
+    out = tmp_path / "out"
+    assert main(["nll", "--config", str(path), "--checkpoint", ckpt, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad nll: ") and "Traceback" not in err
     assert not out.exists()

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import wkb_lab.likelihood as likelihood
+import wkb_lab.sampler as sampler
 from conftest import ORACLE_T_MIN, oracle_model
 from wkb_lab.data import make_swiss_roll
 from wkb_lab.likelihood import FdStencil, nll_first_order
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.score import MlpScore
 from wkb_lab.train import TrainConfig, train
+from wkb_lab.wasserstein import w2_exact
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -48,10 +50,15 @@ def test_traced_layers_are_on_the_call_path(tracing):
                                   tol_outer=1e-2, tol_inner=1e-3)
         train(TrainConfig(epochs=1, batch_size=64, seed=0), make_swiss_roll(128, seed=1),
               Schedule(kind=ScheduleKind.SIMPLE, beta=20.0, dim=2))
-    assert np.isfinite(rep.correction1)
+        x, _ = sampler.em_sweep(score, sched, 0.5,
+                                np.linspace(sched.t_max, sched.t_min, 3),
+                                np.zeros((3, 2)), None)
+        w2 = w2_exact(x, np.eye(3, 2))
+    assert np.isfinite(rep.correction1) and np.isfinite(w2.distance)
     table = tracing.SpanTable(tracer)
     for name in (tracing.SCORE, tracing.STENCIL, tracing.LOGQ, tracing.SOLVE, tracing.RHS,
-                 tracing.ERR_EST, tracing.DSM, tracing.BACKPROP, tracing.ADAM):
+                 tracing.ERR_EST, tracing.DSM, tracing.BACKPROP, tracing.ADAM,
+                 tracing.EM, tracing.ASSIGN):
         assert table.mask(name).any(), f"no {name} span recorded"
     metrics = tracing.layer_metrics(table)
     assert metrics["likelihood.inner_solves_per_point"] == 0
