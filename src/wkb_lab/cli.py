@@ -13,10 +13,12 @@ verify      self-contained oracle/property checks; nonzero exit on failure
 Settings resolve once per command: the defaults, the INI file, the flags
 that set a config key (``train --epochs``, ``nll --dx/--tol-outer/--tol-inner``,
 ``sample --n`` for ``sweep.n_samples``), a loaded checkpoint's schedule, then
-WKB_LAB_SEED for all seeds.  The ``nll``, ``w2-sweep`` and ``gaussian`` tables
-start with a ``#``-prefixed echo of those settings, flag overrides and the
-checkpoint's schedule included; rerunning a command with the same settings
-reproduces every output file byte for byte.
+WKB_LAB_SEED for all seeds.  In ``nll``, ``tol_inner`` sets the tolerance of the
+solves that give ``log_q0`` and ``correction1``, and ``tol_outer`` that of the
+error-bar pass alone, which gives ``err_bound``.  The ``nll``, ``w2-sweep``
+and ``gaussian`` tables start with a ``#``-prefixed echo of those settings,
+flag overrides and the checkpoint's schedule included; rerunning a command
+with the same settings reproduces every output file byte for byte.
 """
 
 from __future__ import annotations
@@ -230,6 +232,9 @@ def cmd_sample(args) -> int:
         raise ConfigError(f"bad sample: --record must be >= 0, got {args.record}")
     model, trained_schedule = _load_checkpoint(args)
     cfg = load_config(args.config, {"sweep.n_samples": args.n}, trained_schedule)
+    if args.record > cfg.sweep["n_samples"]:
+        raise ConfigError(f"bad sample: --record {args.record} exceeds the "
+                          f"{cfg.sweep['n_samples']} samples")
     with _range_rules("sample"):
         sampler = SamplerConfig(h=args.h, n_steps=args.n_steps, seed=cfg.dataset["seed"])
     cloud, trajs = sample_sde(model, cfg.make_schedule(model.dim), sampler,
@@ -301,22 +306,22 @@ def cmd_w2_sweep(args) -> int:
     schedule = cfg.make_schedule(model.dim)
     cloud = _make_dataset(cfg)
     # w2_exact imports scipy.optimize on first use; importing it here, before
-    # the pools fork, lets every worker inherit it instead of importing it
-    # again in each worker of each per-h pool.
+    # the pool forks, lets every worker inherit it instead of importing it
+    # again.
     import scipy.optimize  # noqa: F401
 
+    hs = _parse_h_values(sw["h_values"])
+    jobs = [(model, schedule, cloud.points, cfg.dataset["seed"], cfg.train["seed"], n, h,
+             trial) for h in hs for trial in range(sw["trials"])]
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            dists = list(pool.map(_w2_trial, jobs))
+    else:
+        dists = [_w2_trial(job) for job in jobs]
     rows = []
-    for h in _parse_h_values(sw["h_values"]):
-        jobs = [(model, schedule, cloud.points, cfg.dataset["seed"],
-                 cfg.train["seed"], n, h, trial) for trial in range(sw["trials"])]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                dists = list(pool.map(_w2_trial, jobs))
-        else:
-            dists = [_w2_trial(job) for job in jobs]
-        dists = np.asarray(dists)
-        stderr = dists.std(ddof=1) / np.sqrt(len(dists)) if len(dists) > 1 else 0.0
-        rows.append((float(h), float(dists.mean()), float(stderr)))
+    for h, trials in zip(hs, np.reshape(dists, (len(hs), sw["trials"]))):
+        stderr = trials.std(ddof=1) / np.sqrt(len(trials)) if len(trials) > 1 else 0.0
+        rows.append((float(h), float(trials.mean()), float(stderr)))
     out = _out_dir(args)
     data_mod.write_table(out / "w2_sweep.tsv", "h\tw2_mean\tw2_stderr", rows,
                          echo=cfg.echo())
@@ -384,8 +389,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("nll", help="likelihood table with corrections")
     common(p, checkpoint=True, threads=True)
     p.add_argument("--dx", type=float, default=None)
-    p.add_argument("--tol-outer", type=float, default=None)
-    p.add_argument("--tol-inner", type=float, default=None)
+    p.add_argument("--tol-outer", type=float, default=None,
+                   help="tolerance of the error-bar pass")
+    p.add_argument("--tol-inner", type=float, default=None,
+                   help="tolerance of the log_q0 and correction1 solves")
     p.add_argument("--scheme", choices=["model", "subtraction"], default="model")
     p.set_defaults(func=cmd_nll)
 

@@ -1,6 +1,6 @@
 """Local numerical-error estimators for grad log q0 and its Laplacian.
-The first-order solver in ``likelihood`` propagates them to a bound on the
-correction.
+The error-bar pass in ``likelihood`` propagates them, along the trajectory
+of the backward characteristic solve, to a bound on the correction.
 
 Two local schemes:
 
@@ -12,7 +12,8 @@ Two local schemes:
 * ``subtraction``: rerun the backward characteristic solve with its
   tolerance stretched by 1.1 and take the absolute differences.
 
-The propagation integrates the conservative system
+The propagation integrates, from t_min to t_max at ``tol_outer``, the
+conservative system
 
     d err1/dt = | J_pf err1 | + (g^2/2) grad_local
     d err2/dt = | (g^2/2) err1 . grad(div s) | + (g^2/2) lap_local

@@ -6,27 +6,25 @@ the prior log-density:
 
     log q0(x) = log pi(x_T) + int_t^{T} div f_pf(x_s, s) ds .
 
-The first-order coefficient in the noise strength h comes from a coupled
-sensitivity system along the same flow,
+The first-order coefficient in the noise strength h perturbs the drift by
+-(g^2/2) [ s - grad log q0_t ].  By the adjoint identity of neural-ODE
+log-densities it is one integral along the flow,
 
-    dx/dt      = f_pf(x, t)
-    d(dx')/dt  = (dx' . grad) f_pf - (g^2/2) [ s - grad log q0_t(x) ]
-    d(dlogq)/dt= div of the line above,
+    correction1 = - int_t^{T} (g^2/2) [ a . (s - a) + div s - tr H ] ds ,
 
-whose driving term needs grad log q0_t and its Laplacian at the moving
-point.  Both come from one backward pass per point: with J_pf = alpha I -
-(g^2/2) grad s the flow Jacobian, a = grad log q0_t and H = its Hessian
-obey, along the flow, the linear characteristic equations
+of a = grad log q0_t and H = its Hessian at the moving point.  With
+J_pf = alpha I - (g^2/2) grad s the flow Jacobian, a and H obey the linear
+characteristic equations
 
     da/dt = -J_pf^T a + (g^2/2) grad(div s)
     dH/dt = -J_pf^T H - H J_pf + (g^2/2) [ sum_k a_k hess(s_k) + hess(div s) ]
 
-from a = -x_T, H = -I at t_max (the log-density transport of neural-ODE
-adjoints).  One adaptive solve of (x, a, H) from t_max down to t_min, with
-DOPRI5's continuous extension between its steps, serves every right-hand
-side of the sensitivity system: grad log q0_t(x) = a + H (x - x_ref) and
-the Laplacian is tr H.  Alongside the sensitivity system we integrate the
-conservative local-error bounds, giving the final err_bound.
+from a = -x_T, H = -I at t_max.  One adaptive solve of (x, a, H, c) from
+t_max down to t_min, with c(t) the integral above from t to T (so
+dc/dt = -(g^2/2) [...] and c(T) = 0), gives correction1 = -c(t_min).  A
+last pass integrates the conservative local-error bounds along that
+solve's trajectory (DOPRI5's continuous extension between its steps),
+giving the final err_bound.
 
 All spatial derivatives of the score are central differences at the one
 stencil spacing dx (``stencil``).
@@ -40,12 +38,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .error_est import (LocalErr, local_err_model_from_derivs,
-                        local_err_subtraction_from_values)
+from .error_est import local_err_model_from_derivs, local_err_subtraction_from_values
 from .errors import WkbLabError
-from .ode import OdeProblem, solve_adaptive
+from .ode import DenseOutput, OdeProblem, OdeSolution, solve_adaptive
 from .schedule import Schedule
-from .score import (score_batch, score_div_derivatives, score_divergence, score_jacobian,
+from .score import (score_div_derivatives, score_divergence, score_jacobian,
                     score_second_derivatives)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -134,22 +131,23 @@ def logq_pf(score, schedule: Schedule, x: np.ndarray, t_start: float,
                                t_start, tol, stencil)[0])
 
 
-# -- grad log q0 and its Hessian along the flow ---------------------------------
+# -- grad log q0, its Hessian and the first-order coefficient along the flow ----
 
 def _characteristic_rhs(score, schedule: Schedule, dx: float):
-    """RHS of the (x, a, H) system: the flow, a = grad log q0_t(x) and
-    H = its Hessian, with J_pf = alpha I - (g^2/2) J the flow Jacobian."""
+    """RHS of the (x, a, H, c) system: the flow, a = grad log q0_t(x),
+    H = its Hessian and the first-order accumulator c, with
+    J_pf = alpha I - (g^2/2) J the flow Jacobian."""
     d = schedule.dim
     eye = np.eye(d)
 
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        x, a, hess = z[:d], z[d: 2 * d], z[2 * d:].reshape(d, d)
+        x, a, hess = z[:d], z[d: 2 * d], z[2 * d: -1].reshape(d, d)
         alpha = schedule.drift_coef(t)
         half_gg = 0.5 * schedule.g2(t)
         s, jac, hess_s, grad_div_s, hess_div_s = score_second_derivatives(score, x, t, dx)
         neg_jac_pf_t = jac.T * half_gg  # -J_pf^T
         neg_jac_pf_t -= eye * alpha
-        out = np.empty(z.size)  # [x_dot, a_dot, h_dot]
+        out = np.empty(z.size)  # [x_dot, a_dot, h_dot, c_dot]
         np.subtract(x * alpha, s * half_gg, out=out[:d])
         np.add(neg_jac_pf_t.dot(a), grad_div_s * half_gg, out=out[d: 2 * d])
         # sum_k a_k hess(s_k), one product over the flattened Hessians
@@ -157,35 +155,41 @@ def _characteristic_rhs(score, schedule: Schedule, dx: float):
         drive += hess_div_s.ravel()
         drive *= half_gg
         # -J_pf^T H - H J_pf, with -H J_pf = H (-J_pf^T)^T
-        h_dot = out[2 * d:].reshape(d, d)
+        h_dot = out[2 * d: -1].reshape(d, d)
         neg_jac_pf_t.dot(hess, out=h_dot)
         h_dot += hess.dot(neg_jac_pf_t.T)
         h_dot += drive.reshape(d, d)
+        # the first-order integrand, with div s = tr J and lap log q0 = tr H
+        out[-1] = -half_gg * (float(a.dot(s - a)) + float(jac.trace())
+                              - float(hess.trace()))
         return out
 
     return rhs
 
 
-def _logq_characteristic(score, schedule: Schedule, x_T: np.ndarray, tol: float,
-                         stencil: FdStencil):
-    """``derivs(t, x) -> (grad log q0_t(x), laplacian log q0_t(x))`` for x
-    near the probability-flow trajectory that ends at ``x_T``.
+def _characteristic_solve(score, schedule: Schedule, x_T: np.ndarray, tol: float,
+                          stencil: FdStencil) -> OdeSolution:
+    """One adaptive solve at ``tol`` of the (x, a, H, c) system from t_max,
+    where a = grad log pi(x_T) = -x_T, H = -I and c = 0, down to t_min.
 
-    One adaptive solve at ``tol`` runs the (x, a, H) system from t_max,
-    where a = grad log pi(x_T) = -x_T and H = -I, down to t_min; between
-    its steps DOPRI5's continuous extension gives x_ref(t), a(t), H(t), and
-    the gradient at a nearby x is the first-order expansion a + H (x - x_ref).
+    ``y_final[-1]`` is -correction1, and the continuous extension ``dense``
+    gives x_ref(t), a(t) and H(t) between the steps.
     """
     d = schedule.dim
-    z_T = np.concatenate([x_T, prior_grad(x_T), -np.eye(d).ravel()])
-    dense = solve_adaptive(OdeProblem(
+    z_T = np.concatenate([x_T, prior_grad(x_T), -np.eye(d).ravel(), [0.0]])
+    return solve_adaptive(OdeProblem(
         rhs=_characteristic_rhs(score, schedule, stencil.dx),
-        t0=schedule.t_max, t1=schedule.t_min, y0=z_T, tol=tol),
-        record_trace=True).dense
+        t0=schedule.t_max, t1=schedule.t_min, y0=z_T, tol=tol), record_trace=True)
+
+
+def _logq_derivs(dense: DenseOutput, d: int):
+    """``derivs(t, x) -> (grad log q0_t(x), laplacian log q0_t(x))`` for x
+    near the trajectory of a characteristic solve's ``dense`` output: the
+    first-order expansion a + H (x - x_ref), and tr H."""
 
     def derivs(t: float, x: np.ndarray):
         z = dense(t)
-        hess = z[2 * d:].reshape(d, d)
+        hess = z[2 * d: -1].reshape(d, d)
         return z[d: 2 * d] + hess.dot(x - z[:d]), float(hess.trace())
 
     return derivs
@@ -193,88 +197,62 @@ def _logq_characteristic(score, schedule: Schedule, x_T: np.ndarray, tol: float,
 
 # -- first order ---------------------------------------------------------------
 
-_ERR_SCHEMES = (None, "model", "subtraction")
+_ERR_SCHEMES = ("model", "subtraction")
 
 
 class OuterState(NamedTuple):
-    """Named views of the first-order state [x, dx', dlogq, err1, err2]."""
+    """Named views of the error-bar state [err1, err2]."""
 
-    x: np.ndarray
-    delta_x: np.ndarray
-    delta_logq: float
     err1: np.ndarray
     err2: float
 
     @classmethod
     def of(cls, y: np.ndarray) -> "OuterState":
-        d = (y.size - 2) // 3
-        return cls(y[:d], y[d: 2 * d], float(y[2 * d]), y[2 * d + 1: 3 * d + 1],
-                   float(y[3 * d + 1]))
+        return cls(y[:-1], float(y[-1]))
 
-    @staticmethod
-    def initial(x0: np.ndarray) -> np.ndarray:
-        return np.concatenate([x0, np.zeros(2 * x0.size + 2)])
-
-    @property
-    def correction1(self) -> float:
-        return float(self.delta_x @ prior_grad(self.x)) + self.delta_logq
-
-    @property
-    def err_bound(self) -> float:
-        return float(self.err1 @ np.abs(prior_grad(self.x))) + abs(self.err2)
+    def err_bound(self, x_T: np.ndarray) -> float:
+        return float(self.err1 @ np.abs(prior_grad(x_T))) + abs(self.err2)
 
 
-def _first_order_rhs(score, schedule: Schedule, stencil: FdStencil, logq_derivs,
-                     err_scheme: str | None, logq_err: float = 0.0,
-                     logq_derivs_loose=None):
-    """RHS of the outer state; ``logq_derivs`` (and for the subtraction
-    scheme ``logq_derivs_loose``) from ``_logq_characteristic``."""
-    if err_scheme not in _ERR_SCHEMES:
-        raise ValueError(f"unknown error scheme {err_scheme!r}")
-    if err_scheme == "subtraction" and logq_derivs_loose is None:
+def _error_bar_rhs(score, schedule: Schedule, stencil: FdStencil, dense: DenseOutput,
+                   err_scheme: str, logq_err: float = 0.0,
+                   loose: DenseOutput | None = None):
+    """RHS of the error-bar state along x_ref(t), the trajectory of the
+    characteristic solve whose continuous extension is ``dense``; the
+    ``subtraction`` scheme also takes ``loose``, that of the solve at the
+    stretched tolerance."""
+    if err_scheme == "subtraction" and loose is None:
         raise ValueError("the subtraction scheme needs a second characteristic")
     d = schedule.dim
     dx = stencil.dx
     eye = np.eye(d)
+    loose_derivs = _logq_derivs(loose, d) if loose is not None else None
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        # the OuterState layout, sliced in place
-        x, delta_x, err1 = y[:d], y[d: 2 * d], y[2 * d + 1: 3 * d + 1]
+        err1 = y[:d]
+        z = dense(t)
+        x = z[:d]
         a = schedule.drift_coef(t)
         half_gg = 0.5 * schedule.g2(t)
 
-        grad_logq, lap_logq = logq_derivs(t, x)
-
-        s = score_batch(score, x[None, :], t)[0]
         jac = score_jacobian(score, x, t, dx)
-        div_s, grad_div_s, lap_div_s = score_div_derivatives(score, x, t, dx)
-
-        out = np.empty(y.size)  # [f_x, delta_f, div_delta_f, err1_dot, err2_dot]
-        np.subtract(x * a, s * half_gg, out=out[:d])
-        delta_f = out[d: 2 * d]
-        np.subtract(delta_x * a, jac.dot(delta_x) * half_gg, out=delta_f)
-        delta_f -= (s - grad_logq) * half_gg
-        out[2 * d] = (-half_gg * float(delta_x.dot(grad_div_s))
-                      - half_gg * (div_s - lap_logq))
-
-        if err_scheme is None:
-            local = LocalErr(grad_err=np.zeros(d), lap_err=0.0)
-        elif err_scheme == "model":
+        _, grad_div_s, lap_div_s = score_div_derivatives(score, x, t, dx)
+        if err_scheme == "model":
             local = local_err_model_from_derivs(grad_div_s, lap_div_s, dx,
                                                 logq_err=logq_err)
         else:
-            local = local_err_subtraction_from_values((grad_logq, lap_logq),
-                                                      logq_derivs_loose(t, x))
+            tight = z[d: 2 * d], float(z[2 * d: -1].reshape(d, d).trace())
+            local = local_err_subtraction_from_values(tight, loose_derivs(t, x))
 
         # full flow Jacobian inside one absolute value: the linear drift and
         # the score part nearly cancel near stationarity, and splitting them
         # would inflate the bound by exp(int |a| + |g^2 J/2|) ~ 1e4
         jac_pf = eye * a - jac * half_gg
-        err1_dot = out[2 * d + 1: 3 * d + 1]
+        out = np.empty(y.size)  # [err1_dot, err2_dot]
+        err1_dot = out[:d]
         np.abs(jac_pf.dot(err1), out=err1_dot)
         err1_dot += local.grad_err * half_gg
-        out[3 * d + 1] = (abs(half_gg * float(err1.dot(grad_div_s)))
-                          + half_gg * local.lap_err)
+        out[d] = abs(half_gg * float(err1.dot(grad_div_s))) + half_gg * local.lap_err
         return out
 
     return rhs
@@ -283,20 +261,22 @@ def _first_order_rhs(score, schedule: Schedule, stencil: FdStencil, logq_derivs,
 def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
                     stencil: FdStencil | None = None,
                     tol_outer: float = 1e-3, tol_inner: float = 1e-5,
-                    err_scheme: str | None = "model") -> NllReport:
+                    err_scheme: str = "model") -> NllReport:
     """Zeroth-order log-likelihood plus the first-order noise coefficient.
 
     Three passes per point.  The zeroth-order solve from t_min to t_max at
     ``tol_inner`` gives log q0 and the end state x_T.  From x_T one backward
-    solve at ``tol_inner`` carries grad log q0_t and its Hessian down the
-    flow (``_logq_characteristic``).  The coupled (x, sensitivity,
-    divergence accumulator, error-bound) system then runs from t_min to
-    t_max at ``tol_outer``.  ``err_scheme`` picks the local-error estimator
-    ("model" from score derivatives, "subtraction" from a second backward
-    solve at ``1.1 * tol_inner``, or None to skip and report 0).  The model
+    solve at ``tol_inner`` carries grad log q0_t, its Hessian and the
+    first-order coefficient down the flow (``_characteristic_solve``).  The
+    error bar then runs from t_min to t_max at ``tol_outer`` along that
+    solve's trajectory (``_error_bar_rhs``).  ``err_scheme`` picks the
+    local-error estimator: "model" from score derivatives, or "subtraction"
+    from a second backward solve at ``1.1 * tol_inner``.  The model
     scheme's solver floor is measured once per point as the zeroth-order
     difference between solves at ``tol_inner`` and ``1.1 * tol_inner``.
     """
+    if err_scheme not in _ERR_SCHEMES:
+        raise ValueError(f"unknown error scheme {err_scheme!r}")
     stencil = stencil or FdStencil()
     x0 = np.asarray(x0, dtype=float)
     d = schedule.dim
@@ -304,25 +284,23 @@ def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
         raise ValueError(f"x0 must have shape ({d},)")
     logq, x_T = _zeroth_order_solve(score, schedule, x0[None, :], schedule.t_min,
                                     tol_inner, stencil)
-    log_q0 = float(logq[0])
+    log_q0, x_T = float(logq[0]), x_T[0]
     logq_err = 0.0
     if err_scheme == "model":
         loose = logq_pf(score, schedule, x0, schedule.t_min, 1.1 * tol_inner, stencil)
         logq_err = abs(loose - log_q0)
-    logq_derivs = _logq_characteristic(score, schedule, x_T[0], tol_inner, stencil)
-    loose_derivs = None
+    back = _characteristic_solve(score, schedule, x_T, tol_inner, stencil)
+    loose_dense = None
     if err_scheme == "subtraction":
-        loose_derivs = _logq_characteristic(score, schedule, x_T[0], 1.1 * tol_inner,
-                                            stencil)
+        loose_dense = _characteristic_solve(score, schedule, x_T, 1.1 * tol_inner,
+                                            stencil).dense
 
-    y0 = OuterState.initial(x0)
-    rhs = _first_order_rhs(score, schedule, stencil, logq_derivs, err_scheme, logq_err,
-                           loose_derivs)
-    sol = solve_adaptive(OdeProblem(rhs=rhs, t0=schedule.t_min, t1=schedule.t_max,
-                                    y0=y0, tol=tol_outer))
-    state = OuterState.of(sol.y_final)
-    return NllReport(log_q0=log_q0, correction1=state.correction1,
-                     err_bound=state.err_bound)
+    rhs = _error_bar_rhs(score, schedule, stencil, back.dense, err_scheme, logq_err,
+                         loose_dense)
+    bar = solve_adaptive(OdeProblem(rhs=rhs, t0=schedule.t_min, t1=schedule.t_max,
+                                    y0=np.zeros(d + 1), tol=tol_outer))
+    return NllReport(log_q0=log_q0, correction1=-float(back.y_final[-1]),
+                     err_bound=OuterState.of(bar.y_final).err_bound(x_T))
 
 
 # -- dataset aggregation --------------------------------------------------------
@@ -375,7 +353,7 @@ def _point_job(args):
 
 def nll_dataset(score, schedule: Schedule, cloud, stencil: FdStencil | None = None,
                 tol_outer: float = 1e-3, tol_inner: float = 1e-5,
-                err_scheme: str | None = "model", threads: int = 1) -> NllSummary:
+                err_scheme: str = "model", threads: int = 1) -> NllSummary:
     """Per-point first-order reports over a point cloud, aggregated.
 
     Failed points (solver blow-ups, or anything else a point raises) are

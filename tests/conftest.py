@@ -10,7 +10,8 @@ import pytest
 import wkb_lab
 from wkb_lab.data import make_25gaussian, make_swiss_roll
 from wkb_lab.gaussian_oracle import GaussianModel
-from wkb_lab.likelihood import FdStencil, _logq_characteristic, _zeroth_order_solve
+from wkb_lab.likelihood import (FdStencil, _characteristic_solve, _logq_derivs,
+                                _zeroth_order_solve)
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.score import checkpoint_load, checkpoint_save
 from wkb_lab.train import TrainConfig, train
@@ -31,12 +32,18 @@ def oracle_model(epsilon: float) -> GaussianModel:
     return GaussianModel(epsilon=epsilon, **ORACLE_KW)
 
 
-def logq_characteristic(score, schedule: Schedule, x0, dx: float, tol: float):
-    """grad log q0_t and its Laplacian along the flow from x0 at t_min, as
-    ``nll_first_order`` builds them."""
+def characteristic(score, schedule: Schedule, x0, dx: float, tol: float):
+    """(backward characteristic solve, end state x_T) of the flow from x0 at
+    t_min, as ``nll_first_order`` builds them."""
     _, x_T = _zeroth_order_solve(score, schedule, np.asarray(x0)[None, :],
                                  schedule.t_min, tol, FdStencil(dx))
-    return _logq_characteristic(score, schedule, x_T[0], tol, FdStencil(dx))
+    return _characteristic_solve(score, schedule, x_T[0], tol, FdStencil(dx)), x_T[0]
+
+
+def logq_characteristic(score, schedule: Schedule, x0, dx: float, tol: float):
+    """grad log q0_t and its Laplacian along the flow from x0 at t_min."""
+    return _logq_derivs(characteristic(score, schedule, x0, dx, tol)[0].dense,
+                        schedule.dim)
 
 
 def make_dataset(name: str, n: int, seed: int = DATA_SEED):

@@ -1,20 +1,58 @@
 """The nested-stencil first-order solver, kept as a reference for tests.
 
-Each outer right-hand side takes grad log q0 and its Laplacian by central
-differences over five zeroth-order solves (the star around the moving
-point, one joint system) from t to t_max.  It costs one adaptive solve per
-right-hand side, which ``wkb_lab.likelihood`` replaces with one backward
-characteristic solve per point; the two must agree within this solver's
+It integrates the forward sensitivity system
+
+    dx/dt       = f_pf(x, t)
+    d(dx')/dt   = (dx' . grad) f_pf - (g^2/2) [ s - grad log q0_t(x) ]
+    d(dlogq)/dt = div of the line above,
+
+with the error bounds alongside, from t_min to t_max; the coefficient is
+dx'_T . grad log pi(x_T) + dlogq_T.  Each right-hand side takes grad log q0
+and its Laplacian by central differences over five zeroth-order solves (the
+star around the moving point, one joint system) from t to t_max.  It costs
+one adaptive solve per right-hand side, which ``wkb_lab.likelihood``
+replaces with one backward characteristic solve per point that also
+carries the coefficient; the two must agree within this solver's
 ``err_bound``.  Only the ``model`` error scheme is kept.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from wkb_lab.error_est import local_err_model_from_derivs
-from wkb_lab.likelihood import OuterState, logq_pf, logq_pf_batch
+from wkb_lab.likelihood import logq_pf, logq_pf_batch, prior_grad
 from wkb_lab.ode import OdeProblem, solve_adaptive
 from wkb_lab.score import score_batch, score_div_derivatives, score_jacobian
 from wkb_lab.stencil import gradient, laplacian, star
+
+
+class OuterState(NamedTuple):
+    """Named views of the sensitivity state [x, dx', dlogq, err1, err2]."""
+
+    x: np.ndarray
+    delta_x: np.ndarray
+    delta_logq: float
+    err1: np.ndarray
+    err2: float
+
+    @classmethod
+    def of(cls, y: np.ndarray) -> "OuterState":
+        d = (y.size - 2) // 3
+        return cls(y[:d], y[d: 2 * d], float(y[2 * d]), y[2 * d + 1: 3 * d + 1],
+                   float(y[3 * d + 1]))
+
+    @staticmethod
+    def initial(x0: np.ndarray) -> np.ndarray:
+        return np.concatenate([x0, np.zeros(2 * x0.size + 2)])
+
+    @property
+    def correction1(self) -> float:
+        return float(self.delta_x @ prior_grad(self.x)) + self.delta_logq
+
+    @property
+    def err_bound(self) -> float:
+        return float(self.err1 @ np.abs(prior_grad(self.x))) + abs(self.err2)
 
 
 def nested_first_order_rhs(score, schedule, dx: float, tol_inner: float,

@@ -13,8 +13,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from conftest import (ORACLE_T_MIN, VALIDATION_SEED, logq_characteristic,
-                      make_dataset, oracle_model)
+from conftest import (ORACLE_T_MIN, VALIDATION_SEED, characteristic, make_dataset,
+                      oracle_model)
 from wkb_lab.gaussian_oracle import GaussianModel, flow_identity_residual_grid
 from wkb_lab.likelihood import FdStencil, logq_pf, nll_dataset, nll_first_order
 from wkb_lab.ode import OdeProblem, solve_adaptive
@@ -288,15 +288,14 @@ def test_criterion_11_error_machinery(trained_zoo):
     mean_bound = float(np.mean(bounds))
 
     # injecting larger local errors never decreases the bound
-    from wkb_lab.likelihood import OuterState, _first_order_rhs
-    x0 = val.points[0]
-    logq_derivs = logq_characteristic(model, sched, x0, 0.01, 1e-5)
+    from wkb_lab.likelihood import OuterState, _error_bar_rhs
+    back, x_T = characteristic(model, sched, val.points[0], 0.01, 1e-5)
     grown = []
     for floor in (1e-6, 1e-4):
-        rhs = _first_order_rhs(model, sched, FdStencil(0.01), logq_derivs, "model", floor)
-        sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max,
-                                        OuterState.initial(x0), tol=1e-3))
-        grown.append(OuterState.of(sol.y_final).err_bound)
+        rhs = _error_bar_rhs(model, sched, FdStencil(0.01), back.dense, "model", floor)
+        sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, np.zeros(3),
+                                        tol=1e-3))
+        grown.append(OuterState.of(sol.y_final).err_bound(x_T))
     elapsed = time.time() - t0
     assert grown[0] <= grown[1]
     assert 0.013 <= mean_bound <= 1.3, f"mean err bound {mean_bound:.3f}"

@@ -201,6 +201,17 @@ def test_nll_echo_records_flags_and_the_checkpoint_schedule(mini_checkpoint, tmp
     assert (tmp_path / "file" / "nll_table.tsv").read_text() == table
 
 
+def test_w2_sweep_is_independent_of_the_worker_count(mini_checkpoint, tmp_path):
+    config, ckpt = mini_checkpoint
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["w2-sweep", "--config", config, "--checkpoint", ckpt,
+                     "--threads", threads, "--out", str(out)]) == 0
+        tables.append((out / "w2_sweep.tsv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--epochs", "-1"],
     ["nll", "--dx", "-1"],
@@ -219,6 +230,7 @@ def test_nll_echo_records_flags_and_the_checkpoint_schedule(mini_checkpoint, tmp
     ["gaussian", "--eps", "inf"],
     ["sample", "--record", "-3"],
     ["gaussian", "--n-h", "0"],
+    ["sample", "--n", "10", "--record", "100"],
 ])
 def test_bad_flag_value_is_a_config_error(mini_checkpoint, tmp_path, capsys, argv):
     config, ckpt = mini_checkpoint

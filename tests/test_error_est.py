@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import ORACLE_T_MIN, logq_characteristic, oracle_model
+from conftest import ORACLE_T_MIN, characteristic, logq_characteristic, oracle_model
 from wkb_lab.error_est import (LocalErr, local_err_model_from_derivs,
                                local_err_subtraction_from_values)
-from wkb_lab.likelihood import FdStencil, OuterState, _first_order_rhs, nll_first_order
+from wkb_lab.likelihood import FdStencil, OuterState, _error_bar_rhs, nll_first_order
 from wkb_lab.ode import OdeProblem, solve_adaptive
 from wkb_lab.score import score_div_derivatives
 
@@ -64,40 +64,40 @@ def test_local_err_rejects_negative():
 
 
 def test_zero_local_errors_give_zero_bound():
+    # the subtraction scheme against its own characteristic has zero local error
     _, sched, score = pipeline(0.3)
+    back, x_T = characteristic(score, sched, np.array([0.1, 0.0]), 0.05, 1e-6)
+    rhs = _error_bar_rhs(score, sched, FdStencil(0.05), back.dense, "subtraction",
+                         loose=back.dense)
+    sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, np.zeros(3), tol=1e-4))
+    assert OuterState.of(sol.y_final).err_bound(x_T) == 0.0
     rep_bound = nll_first_order(score, sched, np.array([0.1, 0.0]), FdStencil(0.05),
                                 tol_outer=1e-4, tol_inner=1e-6,
                                 err_scheme="model").err_bound
-    none_rep = nll_first_order(score, sched, np.array([0.1, 0.0]), FdStencil(0.05),
-                               tol_outer=1e-4, tol_inner=1e-6, err_scheme=None)
-    assert none_rep.err_bound == 0.0
     assert rep_bound >= 0.0
 
 
 def test_error_components_nondecreasing_along_integration():
     _, sched, score = pipeline(0.3)
-    x0 = np.array([0.1, -0.05])
-    rhs = _first_order_rhs(score, sched, FdStencil(0.05),
-                           logq_characteristic(score, sched, x0, 0.05, 1e-6),
-                           err_scheme="model", logq_err=1e-6)
-    sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, OuterState.initial(x0),
+    back, _ = characteristic(score, sched, np.array([0.1, -0.05]), 0.05, 1e-6)
+    rhs = _error_bar_rhs(score, sched, FdStencil(0.05), back.dense, err_scheme="model",
+                         logq_err=1e-6)
+    sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, np.zeros(3),
                                     tol=1e-4), record_trace=True)
-    states = np.vstack([sol.dense.y_start, sol.y_final])
-    errs = np.array([np.append(s.err1, s.err2) for s in map(OuterState.of, states)])
+    errs = np.vstack([sol.dense.y_start, sol.y_final])
     assert np.all(np.diff(errs, axis=0) >= -1e-15)
 
 
 def test_bound_monotone_in_injected_local_error():
     _, sched, score = pipeline(0.3)
-    x0 = np.array([0.1, -0.05])
-    logq_derivs = logq_characteristic(score, sched, x0, 0.05, 1e-6)
+    back, x_T = characteristic(score, sched, np.array([0.1, -0.05]), 0.05, 1e-6)
     bounds = []
     for floor in (1e-6, 1e-5, 1e-4):
-        rhs = _first_order_rhs(score, sched, FdStencil(0.05), logq_derivs,
-                               err_scheme="model", logq_err=floor)
-        sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max,
-                                        OuterState.initial(x0), tol=1e-5))
-        bounds.append(OuterState.of(sol.y_final).err_bound)
+        rhs = _error_bar_rhs(score, sched, FdStencil(0.05), back.dense,
+                             err_scheme="model", logq_err=floor)
+        sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, np.zeros(3),
+                                        tol=1e-5))
+        bounds.append(OuterState.of(sol.y_final).err_bound(x_T))
     assert bounds[0] < bounds[1] < bounds[2]
 
 

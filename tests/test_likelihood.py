@@ -97,6 +97,20 @@ def test_first_order_matches_closed_form_h_derivative():
         assert abs(rep.correction1 - oracle) / abs(oracle) < 1e-4
 
 
+def test_first_order_matches_closed_form_at_the_cli_defaults():
+    # the nll command's dx and tolerances, on points drawn like the data
+    model, sched, score = pipeline(0.3)
+    vp = model.vprime_t(0.0, sched.t_min)
+    rng = np.random.default_rng(1)
+    worst = 0.0
+    for x in rng.standard_normal((40, 2)) * np.sqrt(vp):
+        rep = nll_first_order(score, sched, x, FdStencil(0.01),
+                              tol_outer=1e-3, tol_inner=1e-5)
+        oracle = model.dlogq0_dh_at0(x, t=sched.t_min)
+        worst = max(worst, abs(rep.correction1 - oracle) / abs(oracle))
+    assert worst < 1e-4
+
+
 def test_first_order_stable_under_stencil_halving():
     model, sched, score = pipeline(0.3)
     x = np.array([0.15, -0.08])
@@ -193,17 +207,11 @@ def test_characteristic_matches_oracle_along_the_flow():
 
 
 def test_outer_state_names_the_layout():
-    y = np.arange(8.0)
+    y = np.arange(3.0)
     state = OuterState.of(y)
-    np.testing.assert_array_equal(state.x, [0.0, 1.0])
-    np.testing.assert_array_equal(state.delta_x, [2.0, 3.0])
-    assert state.delta_logq == 4.0
-    np.testing.assert_array_equal(state.err1, [5.0, 6.0])
-    assert state.err2 == 7.0
-    assert state.correction1 == pytest.approx(-(0 * 2 + 1 * 3) + 4.0)
-    assert state.err_bound == pytest.approx(5 * 0 + 6 * 1 + 7.0)
-    np.testing.assert_array_equal(OuterState.initial(np.array([1.5, -2.0])),
-                                  [1.5, -2.0, 0, 0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(state.err1, [0.0, 1.0])
+    assert state.err2 == 2.0
+    assert state.err_bound(np.array([3.0, -4.0])) == pytest.approx(0 * 3 + 1 * 4 + 2.0)
 
 
 def _assert_within_nested_bound(score, sched, points):
@@ -257,6 +265,19 @@ def test_dataset_rejects_unknown_scheme_before_any_point():
         nll_dataset(score, sched, np.zeros((2, 2)), err_scheme="nonsense")
 
 
+def test_first_order_rejects_unknown_scheme_before_any_solve():
+    _, sched, exact = pipeline(0.3)
+    calls = []
+
+    def score(x, t):
+        calls.append(t)
+        return exact(x, t)
+
+    with pytest.raises(ValueError, match="scheme"):
+        nll_first_order(score, sched, np.array([0.1, 0.0]), err_scheme="nonsense")
+    assert calls == []
+
+
 def test_score_rows_per_right_hand_side_are_pinned(monkeypatch):
     # a timing-free cost guard: every right-hand side of a pass makes the
     # same score calls, and a change that adds rows shows here
@@ -285,7 +306,7 @@ def test_score_rows_per_right_hand_side_are_pinned(monkeypatch):
                     tol_outer=1e-2, tol_inner=1e-3)
     assert per_pass == {"_pf_with_div_rhs": {(5,)},           # zeroth order
                         "_characteristic_rhs": {(21,)},       # backward
-                        "_first_order_rhs": {(1, 4, 13)}}     # outer
+                        "_error_bar_rhs": {(4, 13)}}          # error bar
 
 
 def _scores(d):
@@ -324,7 +345,7 @@ def _characteristic_rhs_einsum(score, schedule, dx):
     eye = np.eye(d)
 
     def rhs(t, z):
-        x, a, hess = z[:d], z[d: 2 * d], z[2 * d:].reshape(d, d)
+        x, a, hess = z[:d], z[d: 2 * d], z[2 * d: 2 * d + d * d].reshape(d, d)
         alpha = schedule.drift_coef(t)
         gg = schedule.g2(t)
         s, jac, hess_s, grad_div_s, hess_div_s = score_second_derivatives(score, x, t, dx)
@@ -333,7 +354,8 @@ def _characteristic_rhs_einsum(score, schedule, dx):
         a_dot = -jac_pf.T @ a + 0.5 * gg * grad_div_s
         h_dot = (-jac_pf.T @ hess - hess @ jac_pf
                  + 0.5 * gg * (np.einsum("k,kij->ij", a, hess_s) + hess_div_s))
-        return np.concatenate([x_dot, a_dot, h_dot.ravel()])
+        c_dot = -0.5 * gg * (a @ (s - a) + np.trace(jac) - np.trace(hess))
+        return np.concatenate([x_dot, a_dot, h_dot.ravel(), [c_dot]])
 
     return rhs
 
@@ -346,7 +368,7 @@ def test_characteristic_rhs_matches_the_einsum_formula(kind, d):
     ref = _characteristic_rhs_einsum(scores[kind], sched, 0.01)
     rng = np.random.default_rng(d)
     for t in (0.01, 0.4, 0.97):
-        z = rng.standard_normal(2 * d + d * d)
+        z = rng.standard_normal(2 * d + d * d + 1)
         got, want = rhs(t, z), ref(t, z)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -200,10 +200,10 @@ def _pulse(t, y):
 
 
 def _characteristic_problem():
-    # the likelihood's backward (x, a, H) pass on an untrained network
+    # the likelihood's backward (x, a, H, c) pass on an untrained network
     sched = Schedule(kind=ScheduleKind.COSINE, beta=20.0, t_min=0.01, t_max=0.99, dim=2)
     rhs = likelihood._characteristic_rhs(MlpScore.create(dim=2, seed=3), sched, 0.01)
-    z = np.concatenate([[0.4, -0.3], [-0.4, 0.3], -np.eye(2).ravel()])
+    z = np.concatenate([[0.4, -0.3], [-0.4, 0.3], -np.eye(2).ravel(), [0.0]])
     return OdeProblem(rhs, sched.t_max, sched.t_min, z, tol=1e-5)
 
 
