@@ -37,6 +37,7 @@ from . import data as data_mod
 from .errors import ConfigError, WkbLabError
 from .gaussian_oracle import GaussianModel, gaussian_curves, flow_identity_residual_grid
 from .likelihood import FdStencil, nll_dataset
+from .ode import check_tol
 from .sampler import SamplerConfig, sample_sde
 from .schedule import Schedule
 from .score import checkpoint_load, checkpoint_save
@@ -145,8 +146,10 @@ def _validate(cfg: RunConfig) -> None:
         cfg.make_train()
     with _range_rules("nll"):
         FdStencil(dx=nl["dx"])
-    if not (nl["tol_outer"] > 0 and nl["tol_inner"] > 0 and nl["n_points"] >= 1):
-        raise ConfigError("bad nll: tolerances must be positive and n_points >= 1")
+        check_tol(nl["tol_outer"], "tol_outer")
+        check_tol(nl["tol_inner"], "tol_inner")
+    if nl["n_points"] < 1:
+        raise ConfigError("bad nll: n_points must be >= 1")
     with _range_rules("sweep"):
         h_values = _parse_h_values(sw["h_values"])
         if not h_values:

@@ -26,8 +26,9 @@ last pass integrates the conservative local-error bounds along that
 solve's trajectory (DOPRI5's continuous extension between its steps),
 giving the final err_bound.
 
-All spatial derivatives of the score are central differences at the one
-stencil spacing dx (``stencil``).
+The spatial derivatives of the score are central differences at the one
+stencil spacing dx (``stencil``), except for the linear analytic score,
+whose derivatives the ``score`` helpers return in closed form.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class FdStencil:
     dx: float = 0.01
 
     def __post_init__(self):
-        if not self.dx > 0.0:  # also rejects NaN
-            raise ValueError("dx must be positive")
+        if not 0.0 < self.dx < np.inf:  # also rejects NaN
+            raise ValueError("dx must be positive and finite")
 
 
 @dataclass

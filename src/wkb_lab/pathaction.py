@@ -12,8 +12,8 @@ term that the scheme induces:
     stratonovich  midpoint average    +1/2 sum div f   -1/2 sum div(f - g^2 s) dt
     reverse-ito   right               +sum div f dt    0
 
-The drift divergence is analytic (d * a(t)); the score divergence uses the
-central-difference stencils of the ``stencil`` module.
+The drift divergence is analytic (d * a(t)); the score divergence comes
+from ``score.score_divergence`` at the stencil spacing dx.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import Schedule
-from .score import score_batch
-from . import stencil
+from .score import score_divergence
 
 
 class DiscretizationScheme(str, enum.Enum):
@@ -109,19 +108,14 @@ def reverse_action(path: DiscretePath, schedule: Schedule, score,
     the true log-density gradient; ``dx`` is the stencil spacing for the
     score divergence entering the Jacobian."""
     ts, xs = path.times, path.states
-    n, d = xs.shape
+    d = xs.shape[1]
     a_nodes = np.asarray(schedule.drift_coef(ts), dtype=float)
     g2_nodes = np.asarray(schedule.g2(ts), dtype=float)
-    s_nodes = score_batch(score, xs, ts)
+    s_nodes, div_s = score_divergence(score, xs, ts, dx)  # one sweep over all nodes
     drift_nodes = a_nodes[:, None] * xs - g2_nodes[:, None] * s_nodes
     action = _lagrangian_sum(path, drift_nodes, g2_nodes)
     coef = _REVERSE_J[path.scheme]
     if coef:
-        # div(f - g^2 s) per node; one batched stencil sweep over all nodes
-        pts = stencil.points(xs, dx).reshape(n * 2 * d, d)
-        t_rep = np.repeat(ts, 2 * d)
-        vals = score_batch(score, pts, t_rep).reshape(n, 2 * d, d)
-        div_s = stencil.divergence(vals, dx)
-        div_nodes = d * a_nodes - g2_nodes * div_s
+        div_nodes = d * a_nodes - g2_nodes * div_s  # div(f - g^2 s) per node
         action += coef * float(np.sum(_per_interval(div_nodes, path.scheme) * np.diff(ts)))
     return action

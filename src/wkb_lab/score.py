@@ -5,12 +5,15 @@ The network is fixed to four dense layers (d+1 -> 128 -> 128 -> 128 -> d)
 with swish activations after the first three, the scalar time concatenated
 to the state at the input.  The backward pass is specialised to this
 architecture and is verified against central finite differences in the test
-suite.  Spatial derivatives of any score (Jacobian, derivatives of the
-divergence, second derivatives) are always taken with central-difference
-stencils, never by differentiating the network; that keeps one stencil
-policy for everything downstream.  Each derivative helper scores the
-distinct points of its stencil sweep in one call and applies one cached
-linear operator, built from the ``stencil`` formulas, to the values.
+suite.  Spatial derivatives of a score (Jacobian, derivatives of the
+divergence, second derivatives) are taken with central-difference stencils,
+never by differentiating the network; that keeps one stencil policy for
+everything downstream.  Each derivative helper scores the distinct points
+of its stencil sweep in one call and applies one cached linear operator,
+built from the ``stencil`` formulas, to the values.  The one exception is
+the linear analytic score s = slope(t) x, whose derivatives are exact in
+closed form (J = slope I, div s = d slope, every higher derivative 0): the
+helpers return those and make no score call.
 
 The MLP and the analytic score take the time as a float (one time for every
 row) or as one time per row, and both forms give the same bits; the
@@ -182,15 +185,22 @@ class AnalyticGaussianScore:
             t = np.asarray(t, dtype=float)
         return 1.0 + np.exp(-self.beta * t) * (self.v0 - 1.0)
 
-    def __call__(self, x: np.ndarray, t) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+    def slope(self, t):
+        """The factor in s = slope(t) x, -(1 + epsilon) / v_t: a float for a
+        float time, else a column of one slope per row (or one for all)."""
         vt = self.v_t(t)
-        if not isinstance(t, float):  # one time per row, or one for all
-            vt = np.asarray(vt, dtype=float).reshape(-1, 1)
-        return -(1.0 + self.epsilon) * x / vt
+        if not isinstance(t, float):
+            vt = np.reshape(vt, (-1, 1))
+        return -(1.0 + self.epsilon) / vt
+
+    def __call__(self, x: np.ndarray, t) -> np.ndarray:
+        return self.slope(t) * np.atleast_2d(np.asarray(x, dtype=float))
 
 
-# -- spatial derivatives by central differences -----------------------------
+# -- spatial derivatives ------------------------------------------------------
+#
+# The helpers below return the analytic score's exact derivatives, and take
+# every other score's by central differences.
 #
 # A sweep's layout lists, as offsets from x, every stencil point of every
 # centre it differentiates around, and maps the score values on those rows
@@ -290,13 +300,29 @@ def score_batch(score, xs: np.ndarray, t) -> np.ndarray:
     return np.asarray(score(xs, t), dtype=float)
 
 
-def score_divergence(score, xs: np.ndarray, t: float, dx: float):
+def _slope_identity(slope, d: int) -> np.ndarray:
+    """slope * I as a (d, d) array with exact zeros off the diagonal."""
+    out = np.zeros((d, d))
+    out.flat[:: d + 1] = slope
+    return out
+
+
+def score_divergence(score, xs: np.ndarray, t, dx: float):
     """(s, div s) at each of a stack of points, from one call on their stars
     (2d + 1 rows per point) and one matrix product: (m, d) -> (m, d), (m,);
-    a single point (d,) is a stack of one."""
+    a single point (d,) is a stack of one.  ``t`` is one time for every
+    point, or one per point."""
     xs = np.asarray(xs, dtype=float)
     d = xs.shape[-1]
+    if isinstance(score, AnalyticGaussianScore):
+        xs = np.atleast_2d(xs)
+        slope = score.slope(t)
+        div = np.empty(xs.shape[0])
+        div[:] = np.ravel(d * slope)
+        return slope * xs, div
     offsets, operator, _ = _sweep(_star_layout, d, dx)
+    if isinstance(t, np.ndarray) and t.ndim:  # each point's time on its star's rows
+        t = np.repeat(t, offsets.shape[0])
     vals = score_batch(score, (xs[..., None, :] + offsets).reshape(-1, d), t)
     out = vals.reshape(-1, offsets.size).dot(operator.T)
     return out[:, :d], out[:, d]
@@ -304,6 +330,8 @@ def score_divergence(score, xs: np.ndarray, t: float, dx: float):
 
 def score_jacobian(score, x: np.ndarray, t: float, dx: float) -> np.ndarray:
     """J[i, j] = d s_i / d x_j by central differences (2d rows)."""
+    if isinstance(score, AnalyticGaussianScore):
+        return _slope_identity(score.slope(t), np.size(x))
     return _derivatives(_jacobian_layout, score, x, t, dx)[0]
 
 
@@ -314,6 +342,9 @@ def score_div_derivatives(score, x: np.ndarray, t: float, dx: float):
     divergence itself is evaluated at x and at the 2d axis offsets, which
     takes the score at 2d^2 + 2d + 1 distinct points (13 in 2-D).
     """
+    if isinstance(score, AnalyticGaussianScore):
+        d = np.size(x)
+        return float(d * score.slope(t)), np.zeros(d), 0.0
     div, grad_div, lap_div = _derivatives(_div_layout, score, x, t, dx)
     return float(div), grad_div, float(lap_div)
 
@@ -326,6 +357,11 @@ def score_second_derivatives(score, x: np.ndarray, t: float, dx: float):
     (2d^2 + 1)(2d + 1) stencil points fall on 5, 21 and 57 distinct points
     in 1, 2 and 3 dimensions (45 rows on 21 points in 2-D).
     """
+    if isinstance(score, AnalyticGaussianScore):
+        x = np.asarray(x, dtype=float)
+        d, slope = x.size, score.slope(t)
+        return (slope * x, _slope_identity(slope, d), np.zeros((d, d, d)), np.zeros(d),
+                np.zeros((d, d)))
     return tuple(_derivatives(_second_layout, score, x, t, dx))
 
 

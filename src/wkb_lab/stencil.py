@@ -10,13 +10,14 @@ star (``star``).  Mixed second derivatives add the 2d(d-1) diagonal points
 
     x + dx (e_i + e_j), x + dx (e_i - e_j), x - dx (e_i - e_j), x - dx (e_i + e_j).
 
-Every spatial derivative of a log-density or of a score in the package is a
-central difference over values laid out this way: the derivative functions
-below take the values at the 2d offset points along one axis of length 2d
-(the Laplacian and Hessian also the centre value, the Hessian also the
-diagonal values), whatever produced them.  All are second-order accurate
-and exact on quadratics (gradient, Laplacian, Hessian) and on affine vector
-fields (Jacobian, divergence).
+Every spatial derivative of a log-density or of a score in the package,
+save the exact ones of the linear analytic score, is a central difference
+over values laid out this way: the derivative functions below take the
+values at the 2d offset points along one axis of length 2d (the Laplacian
+and Hessian also the centre value, the Hessian also the diagonal values),
+whatever produced them.  All are second-order accurate and exact on
+quadratics (gradient, Laplacian, Hessian) and on affine vector fields
+(Jacobian, divergence).
 """
 
 from __future__ import annotations

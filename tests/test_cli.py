@@ -244,6 +244,22 @@ def test_bad_flag_value_is_a_config_error(mini_checkpoint, tmp_path, capsys, arg
     assert not out.exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("flag", ["--tol-inner", "--tol-outer", "--dx"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_nll_setting_is_rejected_before_any_point(mini_checkpoint, tmp_path,
+                                                            capsys, monkeypatch, flag, value):
+    config, ckpt = mini_checkpoint
+    points = []
+    monkeypatch.setattr("wkb_lab.likelihood.nll_first_order",
+                        lambda *args, **kwargs: points.append(args))
+    out = tmp_path / "out"
+    assert main(["nll", flag, value, "--config", config, "--checkpoint", ckpt,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad nll: ") and "Traceback" not in err
+    assert points == [] and not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--threads", "2"],
     ["verify", "--config", "x.ini"],

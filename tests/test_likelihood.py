@@ -120,6 +120,21 @@ def test_first_order_stable_under_stencil_halving():
     assert abs(reps[0] - reps[1]) / abs(reps[1]) < 0.02
 
 
+def test_one_ulp_does_not_move_the_oracle_result():
+    # the oracle's derivatives are exact, so no stencil rounding noise
+    # steers the backward pass's step sizes: a one-ulp move of x0 moves
+    # correction1 by rounding only (1.4e-13 measured; stencil
+    # derivatives gave 3.6e-9 here)
+    _, sched, score = pipeline(0.3)
+    worst = 0.0
+    for x in np.random.default_rng(3).standard_normal((30, 2)) * 0.9:
+        a, b = (nll_first_order(score, sched, x0, FdStencil(0.01), tol_outer=1e-3,
+                                tol_inner=1e-5).correction1
+                for x0 in (x, np.nextafter(x, np.inf)))
+        worst = max(worst, abs(a - b) / abs(a))
+    assert worst <= 1e-11
+
+
 def test_batch_solver_matches_single_solves():
     _, sched, score = pipeline(0.3)
     xs = np.array([[0.1, 0.2], [-0.3, 0.05], [0.0, -0.1]])
@@ -174,7 +189,7 @@ def test_table_writer_layout(tmp_path):
     assert f"# 1st-corr-median = {-np.median(corrs):.12g}\n" in text
 
 
-@pytest.mark.parametrize("dx", [0.0, -0.01, float("nan")])
+@pytest.mark.parametrize("dx", [0.0, -0.01, float("nan"), float("inf")])
 def test_stencil_spacing_must_be_positive(dx):
     with pytest.raises(ValueError, match="dx"):
         FdStencil(dx=dx)
@@ -280,14 +295,21 @@ def test_first_order_rejects_unknown_scheme_before_any_solve():
 
 def test_score_rows_per_right_hand_side_are_pinned(monkeypatch):
     # a timing-free cost guard: every right-hand side of a pass makes the
-    # same score calls, and a change that adds rows shows here
+    # same score calls, and a change that adds rows shows here.  A wrapped
+    # callable takes the stencil sweeps; the analytic score itself has
+    # closed-form derivatives and makes no score call at all.
     _, sched, exact = pipeline(0.3)
     rows = []
+    analytic_call = AnalyticGaussianScore.__call__
+
+    def counted_call(self, x, t):
+        rows.append(np.atleast_2d(x).shape[0])
+        return analytic_call(self, x, t)
 
     def score(x, t):
-        rows.append(np.atleast_2d(x).shape[0])
         return exact(x, t)
 
+    monkeypatch.setattr(AnalyticGaussianScore, "__call__", counted_call)
     per_pass = {}
 
     def counting_solve(problem, **kwargs):
@@ -307,6 +329,11 @@ def test_score_rows_per_right_hand_side_are_pinned(monkeypatch):
     assert per_pass == {"_pf_with_div_rhs": {(5,)},           # zeroth order
                         "_characteristic_rhs": {(21,)},       # backward
                         "_error_bar_rhs": {(4, 13)}}          # error bar
+    per_pass.clear()
+    nll_first_order(exact, sched, np.array([0.3, -0.2]), FdStencil(0.01),
+                    tol_outer=1e-2, tol_inner=1e-3)
+    assert per_pass == {"_pf_with_div_rhs": {()}, "_characteristic_rhs": {()},
+                        "_error_bar_rhs": {()}}
 
 
 def _scores(d):

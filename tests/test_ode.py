@@ -109,8 +109,9 @@ def test_step_budget_exhaustion_raises():
 
 
 def test_invalid_tolerances_rejected():
-    with pytest.raises(ValueError):
-        OdeProblem(lambda t, y: y, 0.0, 1.0, np.array([1.0]), tol=0.0)
+    for tol in (0.0, -1e-5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            OdeProblem(lambda t, y: y, 0.0, 1.0, np.array([1.0]), tol=tol)
 
 
 def _knots(sol):
@@ -237,3 +238,15 @@ def test_solver_reproduces_the_reference_bit_for_bit(name, record_trace):
           for t in (t0, np.nextafter(t0 + h, t0), t0 + 0.3 * h, t0 + 0.71 * h)]
     for t in ts:
         assert got.dense(t).tobytes() == want.dense(t).tobytes()
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-7])
+def test_a_solve_from_zero_starts_at_the_heuristic_step(tol):
+    # from y0 = 0 the first step is h1, not 100x the 1e-6-of-the-span probe,
+    # so the solve skips the reference's ramp-up steps and stays accurate
+    problem = OdeProblem(lambda t, y: np.array([np.cos(t), 1.0 - y[1]]), 0.0, 3.0,
+                         np.zeros(2), tol=tol)
+    got = solve_adaptive(problem)
+    assert got.n_steps < dopri5_reference.solve_adaptive(problem).n_steps
+    exact = np.array([np.sin(3.0), -np.expm1(-3.0)])
+    assert np.max(np.abs(got.y_final - exact)) <= tol

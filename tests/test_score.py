@@ -245,9 +245,10 @@ _HELPERS = [(score_divergence, stencil_reference.score_divergence, (0, 1)),
 @pytest.mark.parametrize("kind", ["quadratic", "analytic", "mlp"])
 def test_derivative_helpers_match_the_reference_assembly(kind, d, dx):
     # the helpers evaluate each distinct stencil point once and apply one
-    # operator; the reference evaluates every row and applies the stencil
-    # formulas.  Each output of order k is compared on its own scale, the
-    # score's size over dx^k; the worst ratio seen was 1.2e-15.
+    # operator (for the analytic score they return its exact derivatives);
+    # the reference evaluates every row and applies the stencil formulas.
+    # Each output of order k is compared on its own scale, the score's size
+    # over dx^k; the worst ratio seen was 1.2e-15.
     score = {"quadratic": _QuadraticScore(d, seed=d),
              "analytic": AnalyticGaussianScore(beta=1.3, v0=2.0, epsilon=0.3, dim=d),
              "mlp": MlpScore.create(dim=d, seed=d)}[kind]
@@ -335,3 +336,68 @@ def test_checkpoint_unknown_schedule_tag_is_corrupt(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptFile):
         checkpoint_load(path)
+
+
+def _parts(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+def _assert_same_types_and_shapes(got, want):
+    assert type(got) is type(want) and len(_parts(got)) == len(_parts(want))
+    for g, w in zip(_parts(got), _parts(want)):
+        assert type(g) is type(w) and np.shape(g) == np.shape(w)
+        assert np.asarray(g).dtype == np.asarray(w).dtype
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_linear_score_derivatives_are_closed_form(d, monkeypatch):
+    # s = slope(t) x: J = slope I, div s = d slope and every higher
+    # derivative is exactly 0, with no score call; each helper returns the
+    # types and shapes of its stencil path, which a wrapped callable takes
+    score = AnalyticGaussianScore(beta=1.3, v0=2.0, epsilon=0.3, dim=d)
+    x, t, dx = np.linspace(-0.5, 0.7, d), 0.3, 0.01
+    slope, s = score.slope(t), score(x, t)
+    helpers = [fast for fast, _, _ in _HELPERS]
+    stencil_path = [helper(lambda y, tt: score(y, tt), x, t, dx) for helper in helpers]
+    calls = []
+    monkeypatch.setattr(AnalyticGaussianScore, "__call__",
+                        lambda self, y, tt: calls.append(y))
+    got = [helper(score, x, t, dx) for helper in helpers]
+    assert calls == []
+    for g, w in zip(got, stencil_path):
+        _assert_same_types_and_shapes(g, w)
+    (s_star, div), jac, (div_n, grad_div, lap_div), second = got
+    s_c, jac_c, hess_s, grad_div_c, hess_div = second
+    assert s_star.tobytes() == s.tobytes() and s_c.tobytes() == s[0].tobytes()
+    for j in (jac, jac_c):
+        assert np.array_equal(j, slope * np.eye(d))
+    assert div.tolist() == [d * slope] and div_n == d * slope
+    assert lap_div == 0.0
+    for zero in (grad_div, hess_s, grad_div_c, hess_div):
+        assert not zero.any()
+
+
+def test_linear_score_divergence_of_a_stack_is_closed_form():
+    # one time for every point, or one per point (the path action's use)
+    score = AnalyticGaussianScore(beta=1.3, v0=2.0, epsilon=0.3, dim=2)
+    xs, dx = np.random.default_rng(5).standard_normal((5, 2)), 0.01
+    for t in (0.3, np.linspace(0.1, 0.9, 5)):
+        s, div = score_divergence(score, xs, t, dx)
+        assert s.tobytes() == score(xs, t).tobytes()
+        assert np.array_equal(div, np.broadcast_to(2 * np.ravel(score.slope(t)), (5,)))
+        # the stencil path scores each point's star at that point's time
+        ref = score_divergence(lambda y, tt: score(y, tt), xs, t, dx)
+        _assert_same_types_and_shapes((s, div), ref)
+        np.testing.assert_allclose(ref[0], s, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ref[1], div, rtol=1e-12)
+
+
+def test_divergence_with_one_time_per_point_matches_single_points():
+    model, dx = MlpScore.create(dim=2, seed=4), 0.01
+    xs = np.random.default_rng(6).standard_normal((4, 2))
+    ts = np.linspace(0.1, 0.9, 4)
+    s, div = score_divergence(model, xs, ts, dx)
+    for k in range(4):
+        s_k, div_k = score_divergence(model, xs[k], float(ts[k]), dx)
+        np.testing.assert_allclose(s[k], s_k[0], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(div[k], div_k[0], rtol=1e-12, atol=1e-12)
