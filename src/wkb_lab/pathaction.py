@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import Schedule
-from .score import score_divergence
+from .score import score_batch, score_divergence
 
 
 class DiscretizationScheme(str, enum.Enum):
@@ -111,10 +111,13 @@ def reverse_action(path: DiscretePath, schedule: Schedule, score,
     d = xs.shape[1]
     a_nodes = np.asarray(schedule.drift_coef(ts), dtype=float)
     g2_nodes = np.asarray(schedule.g2(ts), dtype=float)
-    s_nodes, div_s = score_divergence(score, xs, ts, dx)  # one sweep over all nodes
+    coef = _REVERSE_J[path.scheme]
+    if coef:  # one sweep over all nodes gives s and div s
+        s_nodes, div_s = score_divergence(score, xs, ts, dx)
+    else:
+        s_nodes = score_batch(score, xs, ts)
     drift_nodes = a_nodes[:, None] * xs - g2_nodes[:, None] * s_nodes
     action = _lagrangian_sum(path, drift_nodes, g2_nodes)
-    coef = _REVERSE_J[path.scheme]
     if coef:
         div_nodes = d * a_nodes - g2_nodes * div_s  # div(f - g^2 s) per node
         action += coef * float(np.sum(_per_interval(div_nodes, path.scheme) * np.diff(ts)))

@@ -301,7 +301,9 @@ def score_batch(score, xs: np.ndarray, t) -> np.ndarray:
 
 
 def _slope_identity(slope, d: int) -> np.ndarray:
-    """slope * I as a (d, d) array with exact zeros off the diagonal."""
+    """slope * I as a (d, d) array.  Filling the diagonal of a zero array
+    takes about a third of the time of ``slope * np.eye(d)`` in 2-D, and an
+    oracle point at the ``nll`` defaults builds ~165 of them."""
     out = np.zeros((d, d))
     out.flat[:: d + 1] = slope
     return out

@@ -23,6 +23,17 @@ def pipeline(eps: float, t_min: float = ORACLE_T_MIN):
     return model, model.to_schedule(dim=2, t_min=t_min), model.to_score(dim=2)
 
 
+def stencil_path(score):
+    """The same score as a plain callable, which the derivative helpers
+    differentiate by stencil sweeps rather than in closed form."""
+    return lambda x, t: score(x, t)
+
+
+def both_paths(score):
+    """(name, score) for the closed-form and the stencil derivatives."""
+    return (("closed form", score), ("stencil", stencil_path(score)))
+
+
 def test_prior_values():
     assert prior_logpdf(np.zeros(2)) == pytest.approx(-np.log(2 * np.pi))
     np.testing.assert_array_equal(prior_grad(np.zeros(3)), np.zeros(3))
@@ -53,8 +64,9 @@ def test_logq_matches_closed_form():
     vp = model.vprime_t(0.0, sched.t_min)
     rng = np.random.default_rng(1)
     for x in rng.standard_normal((5, 2)) * np.sqrt(vp):
-        got = logq_pf(score, sched, x, sched.t_min, tol=1e-5)
-        assert abs(got - model.logq0(x, h=0.0, t=sched.t_min)) < 1e-3
+        for name, path in both_paths(score):
+            got = logq_pf(path, sched, x, sched.t_min, tol=1e-5)
+            assert abs(got - model.logq0(x, h=0.0, t=sched.t_min)) < 1e-3, name
 
 
 def test_logq_self_consistent_under_tol_tightening():
@@ -77,13 +89,19 @@ def test_fd_grad_logq_stationary_gaussian():
     assert lap == pytest.approx(-2.0, abs=1e-2)
 
 
+# The oracle tests below run each point twice: with the analytic score,
+# whose derivatives are closed-form, and with the same score as a plain
+# callable, whose derivatives come from the stencil sweeps a trained score
+# takes.  Both must meet the same bound against the exact answer.
+
 def test_first_order_vanishes_at_exact_score():
     _, sched, score = pipeline(0.0)
     rng = np.random.default_rng(5)
     for x in rng.standard_normal((2, 2)):
-        rep = nll_first_order(score, sched, x, FdStencil(0.05),
-                              tol_outer=1e-6, tol_inner=1e-7)
-        assert abs(rep.correction1) < 1e-4
+        for name, path in both_paths(score):
+            rep = nll_first_order(path, sched, x, FdStencil(0.05),
+                                  tol_outer=1e-6, tol_inner=1e-7)
+            assert abs(rep.correction1) < 1e-4, name
 
 
 def test_first_order_matches_closed_form_h_derivative():
@@ -91,28 +109,32 @@ def test_first_order_matches_closed_form_h_derivative():
     vp = model.vprime_t(0.0, sched.t_min)
     rng = np.random.default_rng(9)
     for x in rng.standard_normal((2, 2)) * np.sqrt(vp):
-        rep = nll_first_order(score, sched, x, FdStencil(0.05),
-                              tol_outer=1e-6, tol_inner=1e-7)
         oracle = model.dlogq0_dh_at0(x, t=sched.t_min)
-        assert abs(rep.correction1 - oracle) / abs(oracle) < 1e-4
+        for name, path in both_paths(score):
+            rep = nll_first_order(path, sched, x, FdStencil(0.05),
+                                  tol_outer=1e-6, tol_inner=1e-7)
+            assert abs(rep.correction1 - oracle) / abs(oracle) < 1e-4, name
 
 
 def test_first_order_matches_closed_form_at_the_cli_defaults():
     # the nll command's dx and tolerances, on points drawn like the data
     model, sched, score = pipeline(0.3)
     vp = model.vprime_t(0.0, sched.t_min)
-    rng = np.random.default_rng(1)
-    worst = 0.0
-    for x in rng.standard_normal((40, 2)) * np.sqrt(vp):
-        rep = nll_first_order(score, sched, x, FdStencil(0.01),
-                              tol_outer=1e-3, tol_inner=1e-5)
-        oracle = model.dlogq0_dh_at0(x, t=sched.t_min)
-        worst = max(worst, abs(rep.correction1 - oracle) / abs(oracle))
-    assert worst < 1e-4
+    xs = np.random.default_rng(1).standard_normal((40, 2)) * np.sqrt(vp)
+    for name, path in both_paths(score):
+        worst = 0.0
+        for x in xs:
+            rep = nll_first_order(path, sched, x, FdStencil(0.01),
+                                  tol_outer=1e-3, tol_inner=1e-5)
+            oracle = model.dlogq0_dh_at0(x, t=sched.t_min)
+            worst = max(worst, abs(rep.correction1 - oracle) / abs(oracle))
+        assert worst < 1e-4, name
 
 
 def test_first_order_stable_under_stencil_halving():
+    # the closed-form derivatives take no dx, so only the stencil path varies
     model, sched, score = pipeline(0.3)
+    score = stencil_path(score)
     x = np.array([0.15, -0.08])
     reps = [nll_first_order(score, sched, x, FdStencil(dx),
                             tol_outer=1e-6, tol_inner=1e-7).correction1
