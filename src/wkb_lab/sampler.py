@@ -7,13 +7,21 @@ Euler-Maruyama updates on a uniform grid read
                + sqrt(h dt) g(t) z,   z ~ N(0, I),
 
 so h = 0 degenerates to the deterministic probability-flow drift
-f - (g^2/2) s and h = 1 to the standard reverse SDE.  Per-trajectory noise
-streams are derived from (seed, trajectory index), so results do not depend
-on chunking or thread count.
+f - (g^2/2) s and h = 1 to the standard reverse SDE.  Each trajectory draws
+its latent and then its per-step noise from one stream derived from (seed,
+trajectory index), so results do not depend on chunking or thread count.
+
+The Euler-Maruyama sweep evaluates an ``MlpScore`` in float32, on a copy
+taken when the sweep starts, and upcasts each output to float64 before the
+update; the state, the noise and the schedule arithmetic stay float64.
+Analytic scores and plain callables are evaluated as they are, so
+``lambda x, t: model(x, t)`` gives the float64 sweep of a network.  The
+probability-flow ODE sampler always evaluates in float64.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +30,7 @@ from .data import PointCloud
 from .errors import NonFinite
 from .ode import OdeProblem, solve_adaptive
 from .schedule import Schedule
+from .score import MlpScore
 
 _CHUNK = 1024
 
@@ -35,6 +44,10 @@ class SamplerConfig:
     def __post_init__(self):
         if not 0.0 <= self.h < np.inf:  # also rejects NaN
             raise ValueError(f"h must be finite and nonnegative, got {self.h}")
+        try:
+            operator.index(self.n_steps)
+        except TypeError:
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}") from None
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
 
@@ -56,22 +69,19 @@ def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
 
 
+def _normals(seed: int, lo: int, hi: int, n_draws: int, dim: int) -> np.ndarray:
+    """(hi-lo, n_draws, d) unit normals of trajectories lo..hi-1, one
+    generator each: draw 0 is the latent x_{t_max}, draw k the noise of
+    step k."""
+    out = np.empty((hi - lo, n_draws, dim))
+    for i in range(lo, hi):
+        out[i - lo] = _trajectory_rng(seed, i).standard_normal((n_draws, dim))
+    return out
+
+
 def draw_latents(seed: int, n: int, dim: int) -> np.ndarray:
     """Standard-normal initial latents x_{t_max}, one per trajectory stream."""
-    out = np.empty((n, dim))
-    for i in range(n):
-        out[i] = _trajectory_rng(seed, i).standard_normal(dim)
-    return out
-
-
-def _chunk_noise(seed: int, lo: int, hi: int, n_steps: int, dim: int) -> np.ndarray:
-    """(hi-lo, n_steps, d) per-step normals; draw index 0 is the latent."""
-    out = np.empty((hi - lo, n_steps, dim))
-    for i in range(lo, hi):
-        rng = _trajectory_rng(seed, i)
-        rng.standard_normal(dim)  # skip the latent draw
-        out[i - lo] = rng.standard_normal((n_steps, dim))
-    return out
+    return _normals(seed, 0, n, 1, dim)[:, 0]
 
 
 def em_sweep(score, schedule: Schedule, h: float, ts: np.ndarray, x0: np.ndarray,
@@ -82,8 +92,11 @@ def em_sweep(score, schedule: Schedule, h: float, ts: np.ndarray, x0: np.ndarray
     ``noise`` has shape (batch, len(ts)-1, d) of unit normals, or None for a
     purely deterministic sweep (h is still applied to the drift).  Passing
     the same increments at a coarsened grid (summed and renormalized) gives
-    matched-noise refinement experiments.
+    matched-noise refinement experiments.  An ``MlpScore`` is evaluated in
+    float32 (see the module docstring).
     """
+    if isinstance(score, MlpScore):
+        score = score.single()
     ts = np.asarray(ts, dtype=float)
     x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
     n_steps = ts.size - 1
@@ -95,7 +108,8 @@ def em_sweep(score, schedule: Schedule, h: float, ts: np.ndarray, x0: np.ndarray
     g2_grid = np.asarray(schedule.g2(ts[:-1]))
     for k in range(n_steps):
         t, dt = ts[k], ts[k] - ts[k + 1]
-        drift = a_grid[k] * x - 0.5 * (1.0 + h) * g2_grid[k] * np.asarray(score(x, t))
+        s = np.asarray(score(x, t), dtype=float)  # a network's float32, upcast
+        drift = a_grid[k] * x - 0.5 * (1.0 + h) * g2_grid[k] * s
         x = x - dt * drift
         if noise is not None and h > 0.0:
             x = x + np.sqrt(h * dt * g2_grid[k]) * noise[:, k]
@@ -104,6 +118,15 @@ def em_sweep(score, schedule: Schedule, h: float, ts: np.ndarray, x0: np.ndarray
         if keep_history:
             hist[:, k + 1] = x[:keep_history]
     return x, hist
+
+
+def _check_latents(latents, n: int, d: int) -> np.ndarray | None:
+    if latents is None:
+        return None
+    latents = np.atleast_2d(np.asarray(latents, dtype=float))
+    if latents.shape != (n, d):
+        raise ValueError(f"latents must have shape {(n, d)}, got {latents.shape}")
+    return latents
 
 
 def sample_sde(score, schedule: Schedule, config: SamplerConfig, n: int,
@@ -116,23 +139,20 @@ def sample_sde(score, schedule: Schedule, config: SamplerConfig, n: int,
     """
     d = schedule.dim
     ts = np.linspace(schedule.t_max, schedule.t_min, config.n_steps + 1)
-    if latents is None:
-        latents = draw_latents(config.seed, n, d)
-    else:
-        latents = np.atleast_2d(np.asarray(latents, dtype=float))
-        if latents.shape != (n, d):
-            raise ValueError(f"latents must have shape {(n, d)}")
+    latents = _check_latents(latents, n, d)
     out = np.empty((n, d))
     recorded: list[Trajectory] = []
 
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        noise = None
-        if config.h > 0.0:
-            noise = _chunk_noise(config.seed, lo, hi, config.n_steps, d)
+        draws = None
+        if latents is None or config.h > 0.0:
+            n_draws = 1 + config.n_steps if config.h > 0.0 else 1
+            draws = _normals(config.seed, lo, hi, n_draws, d)
+        x0 = draws[:, 0] if latents is None else latents[lo:hi]
+        noise = draws[:, 1:] if config.h > 0.0 else None
         rec = max(0, min(n_record - lo, hi - lo))
-        x, hist = em_sweep(score, schedule, config.h, ts, latents[lo:hi],
-                           noise, keep_history=rec)
+        x, hist = em_sweep(score, schedule, config.h, ts, x0, noise, keep_history=rec)
         out[lo:hi] = x
         for j in range(rec):
             recorded.append(Trajectory(times=ts.copy(), states=hist[j]))
@@ -149,10 +169,9 @@ def sample_ode(score, schedule: Schedule, n: int, tol: float = 1e-5, seed: int =
                latents: np.ndarray | None = None) -> PointCloud:
     """Deterministic samples: integrate the probability-flow ODE backward."""
     d = schedule.dim
+    latents = _check_latents(latents, n, d)
     if latents is None:
         latents = draw_latents(seed, n, d)
-    else:
-        latents = np.atleast_2d(np.asarray(latents, dtype=float))
 
     def rhs(t, y):
         x = y.reshape(-1, d)

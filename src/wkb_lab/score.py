@@ -18,10 +18,15 @@ helpers return those and make no score call.
 The MLP and the analytic score take the time as a float (one time for every
 row) or as one time per row, and both forms give the same bits; the
 analytic score builds no time array for a float.
+
+The MLP's parameters are float64, and every function here computes in
+float64; the float32 copy that ``MlpScore.single`` returns serves the
+Euler-Maruyama sampler alone.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import struct
@@ -42,8 +47,8 @@ _TIME_GRID_DEFAULT = 1000
 
 def _sigmoid(z):
     """1 / (1 + exp(-z)) in one new array, each step in place on it.  exp
-    overflows to inf for z < -709, which gives the limit 0; callers
-    silence that warning."""
+    overflows to inf for z < -709 (z < -88.7 in float32), which gives the
+    limit 0; callers silence that warning."""
     s = np.negative(z)
     np.exp(s, out=s)
     s += 1.0
@@ -66,6 +71,8 @@ class MlpScore:
     order (W0 row-major, b0, W1, b1, ...); ``weights`` and ``biases`` are
     views into it, so an in-place update of ``params`` is what the next
     forward pass uses.  ``shapes`` lists each layer's (fan_in, fan_out).
+    ``single()`` returns a float32 copy for inference; a forward pass runs
+    in the dtype of the parameters it is called on.
     """
 
     def __init__(self, params: np.ndarray, shapes: list[tuple[int, int]],
@@ -82,11 +89,15 @@ class MlpScore:
                 raise ArchitectureMismatch(f"layer {i} has shape {shape}")
         if chain[-1] != self.dim:
             raise ArchitectureMismatch("output width must equal the state dimension")
-        self.params = np.array(params, dtype=float)
+        params = np.array(params, dtype=float)
         want = sum(fi * fo + fo for fi, fo in self.shapes)
-        if self.params.shape != (want,):
-            raise ArchitectureMismatch(f"{self.params.size} parameters, expected {want}")
-        views = self.views(self.params)
+        if params.shape != (want,):
+            raise ArchitectureMismatch(f"{params.size} parameters, expected {want}")
+        self._bind(params)
+
+    def _bind(self, params: np.ndarray) -> None:
+        self.params = params
+        views = self.views(params)
         self.weights, self.biases = views[0::2], views[1::2]
 
     @classmethod
@@ -111,6 +122,14 @@ class MlpScore:
             pos += fi * fo + fo
         return out
 
+    def single(self) -> "MlpScore":
+        """A float32 copy for inference, taken from the current ``params``.
+        It does not follow later updates of ``params``, and its outputs
+        are float32."""
+        out = copy.copy(self)
+        out._bind(self.params.astype(np.float32))
+        return out
+
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x: np.ndarray, t) -> np.ndarray:
@@ -119,11 +138,15 @@ class MlpScore:
     def _forward(self, x, t, keep_cache: bool = False):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n, d = x.shape
-        h = np.empty((n, d + 1))  # the state, then the time in the last column
-        h[:, :d] = x
-        h[:, d] = np.ravel(t)  # one time for every row, or one per row
         cache = [] if keep_cache else None
-        with np.errstate(over="ignore"):
+        # an input beyond the range of the dtype becomes inf, and inf * 0 in a
+        # swish is NaN: both reach the output, whose check reports them; for
+        # the other overflow see ``_sigmoid``
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the state, then the time in the last column, in the parameters' dtype
+            h = np.empty((n, d + 1), dtype=self.params.dtype)
+            h[:, :d] = x
+            h[:, d] = np.ravel(t)  # one time for every row, or one per row
             for i in range(_N_HIDDEN):
                 z = h @ self.weights[i]
                 z += self.biases[i]

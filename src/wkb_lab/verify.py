@@ -16,6 +16,7 @@ from .ode import OdeProblem, solve_adaptive
 from .pathaction import DiscretePath, DiscretizationScheme, forward_action
 from .sampler import SamplerConfig, sample_sde
 from .schedule import Schedule, ScheduleKind
+from .score import MlpScore
 from . import stencil
 from .wasserstein import w2_exact
 
@@ -138,6 +139,15 @@ def run_verification(stream) -> list[str]:
     c1, _ = sample_sde(score, sched, cfg, 128)
     c2, _ = sample_sde(score, sched, cfg, 128)
     check("sampler_determinism", float(np.max(np.abs(c1.points - c2.points))), 1e-15)
+
+    # the sampler's float32 network against its float64 evaluation
+    net = MlpScore.create(2, seed=0)
+    cfg = SamplerConfig(h=1.0, n_steps=200, seed=0)
+    sched = Schedule(kind=ScheduleKind.SIMPLE, beta=20.0, dim=2)
+    single, _ = sample_sde(net, sched, cfg, 64)
+    double, _ = sample_sde(lambda x, t: net(x, t), sched, cfg, 64)
+    check("sampler_single_precision_gap",
+          float(np.max(np.abs(single.points - double.points))), 1e-4)
 
     # dataset normalization
     sr = make_swiss_roll(2000, seed=3)

@@ -45,6 +45,8 @@ def w2_exact(a, b) -> W2Result:
     xa, xb = _as_array(a), _as_array(b)
     if xa.shape != xb.shape:
         raise SizeMismatch(f"cloud shapes differ: {xa.shape} vs {xb.shape}")
+    if xa.size == 0:
+        raise SizeMismatch(f"clouds must be nonempty, got shape {xa.shape}")
     n = xa.shape[0]
     if n > _MAX_POINTS:
         raise SizeMismatch(f"at most {_MAX_POINTS} points supported, got {n}")

@@ -64,3 +64,16 @@ def test_traced_layers_are_on_the_call_path(tracing):
     assert metrics["likelihood.inner_solves_per_point"] == 0
     assert metrics["likelihood.outer_rhs_per_point"] > 0
     assert metrics["train.steps"] == 2
+
+
+def test_network_sweep_records_score_spans(tracing):
+    # the sampler evaluates a float32 copy of the network, which must still
+    # pass through the traced forward pass
+    sched = Schedule(kind=ScheduleKind.SIMPLE, beta=20.0, dim=2)
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        sampler.em_sweep(MlpScore.create(2, seed=0), sched, 0.5,
+                         np.linspace(sched.t_max, sched.t_min, 4), np.zeros((3, 2)), None)
+    table = tracing.SpanTable(tracer)
+    under_sweep = table.parent_is(table.mask(tracing.SCORE), tracing.EM)
+    assert under_sweep.sum() == 3  # one network span per step

@@ -5,6 +5,9 @@ from wkb_lab.data import write_table
 from wkb_lab.gaussian_oracle import GaussianModel
 from wkb_lab.sampler import (SamplerConfig, Trajectory, draw_latents, em_sweep,
                              sample_ode, sample_sde)
+from wkb_lab.schedule import Schedule, ScheduleKind
+from wkb_lab.score import MlpScore
+from wkb_lab.wasserstein import w2_exact
 
 
 class DriftFree:
@@ -125,10 +128,85 @@ def test_trajectories_stay_finite_across_h_values():
         assert np.all(np.isfinite(cloud.points))
 
 
+def float64_view(model):
+    """The same network as a plain callable, which the sampler evaluates in
+    float64."""
+    return lambda x, t: model(x, t)
+
+
+@pytest.mark.parametrize("h", [0.0, 1.0])
+def test_network_sweep_runs_in_float32_close_to_float64(monkeypatch, h):
+    model = MlpScore.create(2, seed=0)
+    sched = Schedule(kind=ScheduleKind.SIMPLE, beta=20.0, dim=2)
+    cfg = SamplerConfig(h=h, n_steps=200, seed=0)
+    seen = []
+    forward = MlpScore._forward
+
+    def spy(self, x, t, keep_cache=False):
+        seen.append(self.params.dtype)
+        return forward(self, x, t, keep_cache)
+
+    monkeypatch.setattr(MlpScore, "_forward", spy)
+    single, _ = sample_sde(model, sched, cfg, 64)
+    assert set(seen) == {np.dtype(np.float32)} and len(seen) == 200
+    seen.clear()
+    double, _ = sample_sde(float64_view(model), sched, cfg, 64)
+    assert set(seen) == {np.dtype(np.float64)}
+    # measured 1.2e-5 (h=0) and 2.8e-5 (h=1); float32 rounding, not the Euler error
+    gap = np.max(np.abs(single.points - double.points))
+    assert 0.0 < gap <= 1e-4
+    ref = np.random.default_rng(64).standard_normal((64, 2))
+    w2_gap = abs(w2_exact(single, ref).distance - w2_exact(double, ref).distance)
+    assert w2_gap <= 5e-5  # measured 1.0e-6 and 5.4e-6
+
+
+def test_single_copy_leaves_the_model_untouched():
+    model = MlpScore.create(2, seed=3)
+    params = model.params.copy()
+    x = np.random.default_rng(3).standard_normal((16, 2))
+    before = model(x, 0.4)
+    single = model.single()
+    assert single.params.dtype == np.float32
+    np.testing.assert_array_equal(single.params, params.astype(np.float32))
+    assert single(x, 0.4).dtype == np.float32
+    sched = Schedule(kind=ScheduleKind.SIMPLE, beta=20.0, dim=2)
+    sample_sde(model, sched, SamplerConfig(h=1.0, n_steps=20, seed=1), 16)
+    assert model.params.dtype == np.float64
+    np.testing.assert_array_equal(model.params, params)
+    np.testing.assert_array_equal(model(x, 0.4), before)
+
+
+def test_sample_ode_rejects_latents_of_the_wrong_shape():
+    _, sched, score = oracle()
+    with pytest.raises(ValueError, match="latents"):
+        sample_ode(score, sched, 10, latents=draw_latents(0, 32, 2))
+
+
+@pytest.mark.parametrize("h", [0.0, 1.0])
+def test_seeded_latents_are_the_first_draws_of_each_stream(monkeypatch, h):
+    # with or without noise, and in chunks of any size
+    _, sched, score = oracle()
+    cfg = SamplerConfig(h=h, n_steps=30, seed=4)
+    given, _ = sample_sde(score, sched, cfg, 40, latents=draw_latents(4, 40, 2))
+    seeded, _ = sample_sde(score, sched, cfg, 40)
+    monkeypatch.setattr("wkb_lab.sampler._CHUNK", 16)
+    chunked, _ = sample_sde(score, sched, cfg, 40)
+    np.testing.assert_array_equal(seeded.points, given.points)
+    np.testing.assert_array_equal(chunked.points, given.points)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("h", [0.0, 1.0])
+def test_trained_model_float32_sweep_matches_float64(trained_zoo, h):
+    model, sched, _ = trained_zoo.get("swiss-roll", ScheduleKind.SIMPLE)
+    cfg = SamplerConfig(h=h, n_steps=1000, seed=5)
+    single, _ = sample_sde(model, sched, cfg, 512)
+    double, _ = sample_sde(float64_view(model), sched, cfg, 512)
+    assert np.max(np.abs(single.points - double.points)) <= 1e-5
+
+
 @pytest.mark.slow
 def test_trained_model_sde_matches_ode_at_zero_noise(trained_zoo):
-    from wkb_lab.schedule import ScheduleKind
-
     model, sched, _ = trained_zoo.get("swiss-roll", ScheduleKind.SIMPLE)
     lat = draw_latents(21, 24, 2)
     # the drift-only Euler scheme is first order; 16k steps puts its error
@@ -141,8 +219,6 @@ def test_trained_model_sde_matches_ode_at_zero_noise(trained_zoo):
 
 @pytest.mark.slow
 def test_trained_model_trajectories_finite_across_h(trained_zoo):
-    from wkb_lab.schedule import ScheduleKind
-
     model, sched, _ = trained_zoo.get("swiss-roll", ScheduleKind.SIMPLE)
     for h in (0.0, 0.2, 0.5, 1.0):
         cloud, _ = sample_sde(model, sched, SamplerConfig(h=h, n_steps=1000, seed=3),
@@ -156,5 +232,8 @@ def test_config_validation():
             SamplerConfig(h=h)
     with pytest.raises(ValueError):
         SamplerConfig(n_steps=0)
+    with pytest.raises(ValueError, match="integer"):
+        SamplerConfig(n_steps=2.5)
+    assert SamplerConfig(n_steps=np.int64(3)).n_steps == 3
     with pytest.raises(ValueError):
         Trajectory(times=np.array([1.0, 0.5]), states=np.zeros((3, 2)))

@@ -7,7 +7,7 @@ from mlp_reference import backprop_expit, forward_expit
 
 from wkb_lab import stencil
 from wkb_lab.data import make_swiss_roll
-from wkb_lab.errors import ArchitectureMismatch, CorruptFile, VersionMismatch
+from wkb_lab.errors import ArchitectureMismatch, CorruptFile, NonFinite, VersionMismatch
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.score import (AdamState, AnalyticGaussianScore, MlpScore, adam_step,
                            checkpoint_load, checkpoint_save, draw_dsm_noise,
@@ -104,6 +104,32 @@ def test_swish_matches_expit_reference(rows, scale):
     assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
     for g, g_ref in zip(grads, ref_grads):  # relative per weight and bias tensor
         assert np.max(np.abs(g - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
+
+
+@pytest.mark.parametrize("x", [1e39, -1e39, np.inf])
+def test_single_forward_beyond_float32_range_is_non_finite(x):
+    # the input cast overflows to inf; the output check reports it, and the
+    # "error" filter fails the test on any warning that escapes
+    single = MlpScore.create(dim=2, seed=0).single()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            single(np.array([[x, 0.0]]), 0.5)
+
+
+def test_single_sigmoid_is_exactly_zero_far_below_zero():
+    # exp(-z) overflows float32 for z < -88.72, which gives the limit 0
+    model = MlpScore.create(dim=2, seed=5)
+    model.params *= 10.0
+    x = 10.0 * np.random.default_rng(2).standard_normal((256, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, cache = model.single()._forward(x, 0.5, keep_cache=True)
+    assert out.dtype == np.float32 and np.isfinite(out).all()
+    zs = np.concatenate([z.ravel() for _, z, _ in cache[:-1]])
+    ss = np.concatenate([s.ravel() for _, _, s in cache[:-1]])
+    assert zs.dtype == np.float32 and zs.min() < -800.0
+    assert np.all(ss[zs < -89.0] == 0.0)
 
 
 def test_dsm_loss_zero_at_exact_conditional_score():

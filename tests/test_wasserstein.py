@@ -98,3 +98,6 @@ def test_size_mismatch_rejected():
         w2_exact(np.zeros((3, 2)), np.zeros((4, 2)))
     with pytest.raises(SizeMismatch):
         w2_exact(np.zeros((5001, 1)), np.zeros((5001, 1)))
+    for dim in (1, 2):  # empty clouds, on the sorted and the assignment path
+        with pytest.raises(SizeMismatch):
+            w2_exact(np.zeros((0, dim)), np.zeros((0, dim)))
