@@ -19,9 +19,13 @@ The MLP and the analytic score take the time as a float (one time for every
 row) or as one time per row, and both forms give the same bits; the
 analytic score builds no time array for a float.
 
-The MLP's parameters are float64, and every function here computes in
-float64; the float32 copy that ``MlpScore.single`` returns serves the
-Euler-Maruyama sampler alone.
+The MLP's parameters are float64, and so are checkpoints, Adam's moments
+and the loss.  The float32 copy that ``MlpScore.single`` returns serves
+two callers: the Euler-Maruyama sampler, and each training step's forward
+and backward pass, whose float32 gradient ``adam_step`` applies to the
+float64 parameters.  The forward pass, ``backprop`` and ``dsm_loss`` run
+in the dtype of the parameters they are given; every other function here
+computes in float64.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import functools
 import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,8 +75,9 @@ class MlpScore:
     order (W0 row-major, b0, W1, b1, ...); ``weights`` and ``biases`` are
     views into it, so an in-place update of ``params`` is what the next
     forward pass uses.  ``shapes`` lists each layer's (fan_in, fan_out).
-    ``single()`` returns a float32 copy for inference; a forward pass runs
-    in the dtype of the parameters it is called on.
+    ``single()`` returns a float32 copy for sampling and training steps; a
+    forward or backward pass runs in the dtype of the parameters it is
+    called on.
     """
 
     def __init__(self, params: np.ndarray, shapes: list[tuple[int, int]],
@@ -123,8 +128,9 @@ class MlpScore:
         return out
 
     def single(self) -> "MlpScore":
-        """A float32 copy for inference, taken from the current ``params``.
-        It does not follow later updates of ``params``, and its outputs
+        """A float32 copy, taken from the current ``params``.  It does not
+        follow later updates of ``params`` (``train`` refreshes its copy
+        with ``np.copyto`` before each step), and its outputs and gradients
         are float32."""
         out = copy.copy(self)
         out._bind(self.params.astype(np.float32))
@@ -167,7 +173,10 @@ class MlpScore:
 
     def backprop(self, cache, grad_out: np.ndarray) -> np.ndarray:
         """Flat parameter gradient, laid out like ``params``, for an
-        upstream dL/d(output)."""
+        upstream dL/d(output), in the parameters' dtype: a float64
+        ``grad_out`` on a float32 copy is cast first, so that every product
+        runs in float32."""
+        grad_out = np.asarray(grad_out, dtype=self.params.dtype)
         flat = np.empty_like(self.params)
         grads = self.views(flat)
         h_last = cache[-1][0]
@@ -422,6 +431,11 @@ def dsm_loss(model, batch, schedule: Schedule, rng_seed,
     a perturbation x_{i,t} = alpha(t_i) x_i + sigma(t_i) z_i; the per-item
     term is (g(t_i)^2 / 2) || (x_{i,t} - alpha x_i) / sigma^2 + s(x_{i,t}, t_i) ||^2
     and the loss is the batch mean.
+
+    The network runs in the dtype of its parameters; its output is upcast
+    before the residual, so the loss and dL/d(output) are float64 on a
+    float32 model too, and ``backprop`` returns a gradient in the model's
+    dtype.
     """
     x0 = _as_points(batch)
     n, dim = x0.shape
@@ -441,7 +455,7 @@ def dsm_loss(model, batch, schedule: Schedule, rng_seed,
         s, cache = model._forward(xt, ts, keep_cache=True)
     else:
         s = np.asarray(model(xt, ts), dtype=float)
-    resid = target + s
+    resid = target + s  # float64 whatever the network's dtype
     per_item = 0.5 * g2 * np.einsum("ij,ij->i", resid, resid)
     loss = float(per_item.mean())
     if not np.isfinite(loss):
@@ -457,7 +471,8 @@ def dsm_loss(model, batch, schedule: Schedule, rng_seed,
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators shaped like the flat parameters."""
+    """First/second moment accumulators shaped like the flat parameters,
+    plus scratch rows for ``adam_step`` (made at its first call)."""
 
     m: np.ndarray
     v: np.ndarray
@@ -466,6 +481,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    work: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def init(cls, params: np.ndarray, lr: float = 1e-3) -> "AdamState":
@@ -473,17 +489,41 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
-    """One bias-corrected Adam update of the flat ``params``, in place."""
+    """One bias-corrected Adam update of the flat ``params``, in place.
+
+    ``grads`` is upcast once to the parameters' dtype (a float32 gradient
+    of a training step lands on float64 parameters), and every term is
+    formed in the state's scratch rows in the order of
+
+        m = beta1 m + (1 - beta1) g
+        v = beta2 v + (1 - beta2) (g g)
+        params -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+
+    so the update is bit-identical to evaluating those expressions.
+    """
     if params.shape != state.m.shape or grads.shape != params.shape:
         raise ValueError("parameter / gradient / state shapes disagree")
+    if state.work is None:
+        state.work = np.empty((3,) + params.shape, dtype=params.dtype)
+    g, a, b = state.work
+    np.copyto(g, grads)
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grads
+    np.multiply(g, 1.0 - state.beta1, out=a)
+    state.m += a
     state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * (grads * grads)
-    params -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.eps)
+    np.multiply(g, g, out=a)
+    a *= 1.0 - state.beta2
+    state.v += a
+    np.divide(state.m, bc1, out=a)
+    a *= state.lr
+    np.divide(state.v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += state.eps
+    a /= b
+    params -= a
 
 
 # -- checkpoint format --------------------------------------------------------

@@ -301,6 +301,17 @@ def test_train_batch_above_dataset_size_is_a_config_error(tmp_path, capsys):
     assert not out.exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("lr", ["inf", "nan", "0"])
+def test_bad_train_lr_is_rejected_before_any_work(tmp_path, capsys, lr):
+    path = tmp_path / "lr.ini"
+    path.write_text(MINI_CONFIG.replace("lr = 1e-3", f"lr = {lr}"))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad train: lr must be positive and finite")
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_negative_env_seed_is_a_config_error(mini_config, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("WKB_LAB_SEED", "-1")
     with pytest.raises(ConfigError, match="bad seed"):
