@@ -27,8 +27,8 @@ solve's trajectory (DOPRI5's continuous extension between its steps),
 giving the final err_bound.
 
 The spatial derivatives of the score are central differences at the one
-stencil spacing dx (``stencil``), except for the linear analytic score,
-whose derivatives the ``score`` helpers return in closed form.
+stencil spacing dx, except for the linear analytic score, whose derivatives
+are exact in closed form; the ``stencil`` helpers return both.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ import numpy as np
 
 from .error_est import local_err_model_from_derivs, local_err_subtraction_from_values
 from .errors import WkbLabError
-from .ode import DenseOutput, OdeProblem, OdeSolution, solve_adaptive
+from .ode import DenseOutput, OdeProblem, OdeSolution, check_tol, solve_adaptive
 from .schedule import Schedule
-from .score import (score_div_derivatives, score_divergence, score_jacobian,
-                    score_second_derivatives)
+from .stencil import (score_div_derivatives, score_divergence, score_jacobian,
+                      score_second_derivatives)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -278,6 +278,8 @@ def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
     """
     if err_scheme not in _ERR_SCHEMES:
         raise ValueError(f"unknown error scheme {err_scheme!r}")
+    check_tol(tol_outer, "tol_outer")
+    check_tol(tol_inner, "tol_inner")
     stencil = stencil or FdStencil()
     x0 = np.asarray(x0, dtype=float)
     d = schedule.dim
@@ -363,6 +365,8 @@ def nll_dataset(score, schedule: Schedule, cloud, stencil: FdStencil | None = No
     """
     if err_scheme not in _ERR_SCHEMES:
         raise ValueError(f"unknown error scheme {err_scheme!r}")
+    check_tol(tol_outer, "tol_outer")
+    check_tol(tol_inner, "tol_inner")
     pts = np.atleast_2d(np.asarray(getattr(cloud, "points", cloud), dtype=float))
     jobs = [(score, schedule, x, stencil, tol_outer, tol_inner, err_scheme)
             for x in pts]

@@ -13,7 +13,7 @@ term that the scheme induces:
     reverse-ito   right               +sum div f dt    0
 
 The drift divergence is analytic (d * a(t)); the score divergence comes
-from ``score.score_divergence`` at the stencil spacing dx.
+from ``stencil.score_divergence`` at the stencil spacing dx.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import Schedule
-from .score import score_batch, score_divergence
+from .stencil import score_batch, score_divergence
 
 
 class DiscretizationScheme(str, enum.Enum):

@@ -1,19 +1,13 @@
 """Score functions: trainable MLP with hand-rolled reverse mode, and the
-analytic Gaussian score, plus denoising score matching loss and Adam.
+analytic Gaussian score, plus denoising score matching loss, Adam and
+checkpoints.
 
 The network is fixed to four dense layers (d+1 -> 128 -> 128 -> 128 -> d)
 with swish activations after the first three, the scalar time concatenated
 to the state at the input.  The backward pass is specialised to this
 architecture and is verified against central finite differences in the test
-suite.  Spatial derivatives of a score (Jacobian, derivatives of the
-divergence, second derivatives) are taken with central-difference stencils,
-never by differentiating the network; that keeps one stencil policy for
-everything downstream.  Each derivative helper scores the distinct points
-of its stencil sweep in one call and applies one cached linear operator,
-built from the ``stencil`` formulas, to the values.  The one exception is
-the linear analytic score s = slope(t) x, whose derivatives are exact in
-closed form (J = slope I, div s = d slope, every higher derivative 0): the
-helpers return those and make no score call.
+suite.  The scores' spatial derivatives are taken in ``stencil``, never by
+differentiating the network.
 
 The MLP and the analytic score take the time as a float (one time for every
 row) or as one time per row, and both forms give the same bits; the
@@ -31,7 +25,6 @@ computes in float64.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 import struct
 import zlib
@@ -42,7 +35,6 @@ import numpy as np
 from .data import PointCloud
 from .errors import ArchitectureMismatch, CorruptFile, NonFinite, VersionMismatch
 from .schedule import Schedule, ScheduleKind
-from . import stencil
 
 _HIDDEN = 128
 _N_HIDDEN = 3
@@ -227,176 +219,6 @@ class AnalyticGaussianScore:
 
     def __call__(self, x: np.ndarray, t) -> np.ndarray:
         return self.slope(t) * np.atleast_2d(np.asarray(x, dtype=float))
-
-
-# -- spatial derivatives ------------------------------------------------------
-#
-# The helpers below return the analytic score's exact derivatives, and take
-# every other score's by central differences.
-#
-# A sweep's layout lists, as offsets from x, every stencil point of every
-# centre it differentiates around, and maps the score values on those rows
-# to the derivatives by the ``stencil`` formulas.  Rows that land on one
-# point (x + dx e_1 - dx e_1 is x) are the same offset: ``_sweep`` keeps each
-# distinct offset once and turns the map into one matrix on their values.
-
-def _star_layout(d: int, dx: float):
-    """The star: the centre, then its 2d axis offsets; their values ->
-    (s, div s)."""
-    return stencil.star(np.zeros(d), dx), lambda vals: (
-        vals[0], stencil.divergence(vals[1:], dx))
-
-
-def _jacobian_layout(d: int, dx: float):
-    """The 2d axis offsets; their values -> (J,)."""
-    return stencil.offsets(d, dx), lambda vals: (stencil.jacobian(vals, dx),)
-
-
-def _div_layout(d: int, dx: float):
-    """The axis offsets of each star centre; their values -> (div s,
-    grad(div s), laplacian(div s)), from the divergence at each centre."""
-    centers = stencil.star(np.zeros(d), dx)
-    n = centers.shape[0]
-
-    def assemble(vals):
-        divs = stencil.divergence(vals.reshape(n, 2 * d, d), dx)
-        return (divs[0], stencil.gradient(divs[1:], dx),
-                stencil.laplacian(divs[0], divs[1:], dx))
-
-    return stencil.points(centers, dx).reshape(-1, d), assemble
-
-
-def _second_layout(d: int, dx: float):
-    """The star and diagonal centres, then each centre's axis offsets;
-    their values -> (s, J, hess s, grad(div s), hess(div s)).  J comes from
-    the axis centres, ``hess s[k]`` from all centres, and the divergence at
-    every centre gives its gradient and Hessian."""
-    zero = np.zeros(d)
-    centers = np.vstack([stencil.star(zero, dx), stencil.diagonal_points(zero, dx)])
-    n, na = centers.shape[0], 1 + 2 * d
-
-    def assemble(vals):
-        s_c = vals[:n]
-        divs = stencil.divergence(vals[n:].reshape(n, 2 * d, d), dx)
-        return (s_c[0], stencil.jacobian(s_c[1:na], dx),
-                stencil.hessian(s_c[0], s_c[1:na].T, s_c[na:].T, dx),
-                stencil.gradient(divs[1:na], dx),
-                stencil.hessian(divs[0], divs[1:na], divs[na:], dx))
-
-    return np.vstack([centers, stencil.points(centers, dx).reshape(-1, d)]), assemble
-
-
-@functools.lru_cache(maxsize=32)
-def _sweep(layout, d: int, dx: float):
-    """(offsets, operator, parts) of one sweep at spacing dx in d dimensions.
-
-    ``offsets`` holds the layout's distinct rows; ``operator`` maps the
-    flattened score values there to the flattened outputs; ``parts`` gives
-    each output's (start, stop, shape) in that vector.  The operator's
-    columns are the assembly applied to unit values on the layout's rows,
-    with the columns of rows that coincide summed.  Both arrays are cached
-    and read-only.
-    """
-    rows, assemble = layout(d, dx)
-    ids: dict = {}
-    distinct = [ids.setdefault(tuple(r), len(ids)) for r in rows.tolist()]
-    offsets = np.array(list(ids), dtype=float).reshape(-1, d)
-    unit, cols = np.zeros(rows.shape), []
-    for k in range(rows.size):
-        unit.flat[k] = 1.0
-        outs = assemble(unit)
-        cols.append(np.concatenate([np.ravel(o) for o in outs]))
-        unit.flat[k] = 0.0
-    operator = np.zeros((cols[0].size, offsets.size))
-    for k, col in enumerate(cols):
-        row, comp = divmod(k, d)
-        operator[:, distinct[row] * d + comp] += col
-    offsets.flags.writeable = operator.flags.writeable = False
-    shapes = [np.shape(o) for o in outs]
-    stops = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
-    parts = tuple(zip([0] + stops[:-1], stops, shapes))
-    return offsets, operator, parts
-
-
-def _derivatives(layout, score, x, t, dx: float) -> list:
-    """The outputs of one sweep around x: one score call on the distinct
-    points and one matrix product."""
-    x = np.asarray(x, dtype=float)
-    offsets, operator, parts = _sweep(layout, x.size, dx)
-    out = operator.dot(score_batch(score, x + offsets, t).ravel())
-    return [out[lo:hi].reshape(shape) for lo, hi, shape in parts]
-
-
-def score_batch(score, xs: np.ndarray, t) -> np.ndarray:
-    """Evaluate a score on a stack of points at a common time."""
-    return np.asarray(score(xs, t), dtype=float)
-
-
-def _slope_identity(slope, d: int) -> np.ndarray:
-    """slope * I as a (d, d) array.  Filling the diagonal of a zero array
-    takes about a third of the time of ``slope * np.eye(d)`` in 2-D, and an
-    oracle point at the ``nll`` defaults builds ~165 of them."""
-    out = np.zeros((d, d))
-    out.flat[:: d + 1] = slope
-    return out
-
-
-def score_divergence(score, xs: np.ndarray, t, dx: float):
-    """(s, div s) at each of a stack of points, from one call on their stars
-    (2d + 1 rows per point) and one matrix product: (m, d) -> (m, d), (m,);
-    a single point (d,) is a stack of one.  ``t`` is one time for every
-    point, or one per point."""
-    xs = np.asarray(xs, dtype=float)
-    d = xs.shape[-1]
-    if isinstance(score, AnalyticGaussianScore):
-        xs = np.atleast_2d(xs)
-        slope = score.slope(t)
-        div = np.empty(xs.shape[0])
-        div[:] = np.ravel(d * slope)
-        return slope * xs, div
-    offsets, operator, _ = _sweep(_star_layout, d, dx)
-    if isinstance(t, np.ndarray) and t.ndim:  # each point's time on its star's rows
-        t = np.repeat(t, offsets.shape[0])
-    vals = score_batch(score, (xs[..., None, :] + offsets).reshape(-1, d), t)
-    out = vals.reshape(-1, offsets.size).dot(operator.T)
-    return out[:, :d], out[:, d]
-
-
-def score_jacobian(score, x: np.ndarray, t: float, dx: float) -> np.ndarray:
-    """J[i, j] = d s_i / d x_j by central differences (2d rows)."""
-    if isinstance(score, AnalyticGaussianScore):
-        return _slope_identity(score.slope(t), np.size(x))
-    return _derivatives(_jacobian_layout, score, x, t, dx)[0]
-
-
-def score_div_derivatives(score, x: np.ndarray, t: float, dx: float):
-    """(div s, grad(div s), laplacian(div s)) from one batched stencil sweep.
-
-    grad and laplacian of the divergence are nested central differences: the
-    divergence itself is evaluated at x and at the 2d axis offsets, which
-    takes the score at 2d^2 + 2d + 1 distinct points (13 in 2-D).
-    """
-    if isinstance(score, AnalyticGaussianScore):
-        d = np.size(x)
-        return float(d * score.slope(t)), np.zeros(d), 0.0
-    div, grad_div, lap_div = _derivatives(_div_layout, score, x, t, dx)
-    return float(div), grad_div, float(lap_div)
-
-
-def score_second_derivatives(score, x: np.ndarray, t: float, dx: float):
-    """(s, J, hess s, grad(div s), hess(div s)) from one gathered stencil sweep.
-
-    The centres are the star and the diagonal points around x; the score is
-    evaluated at each centre and at each centre's 2d axis offsets: the
-    (2d^2 + 1)(2d + 1) stencil points fall on 5, 21 and 57 distinct points
-    in 1, 2 and 3 dimensions (45 rows on 21 points in 2-D).
-    """
-    if isinstance(score, AnalyticGaussianScore):
-        x = np.asarray(x, dtype=float)
-        d, slope = x.size, score.slope(t)
-        return (slope * x, _slope_identity(slope, d), np.zeros((d, d, d)), np.zeros(d),
-                np.zeros((d, d)))
-    return tuple(_derivatives(_second_layout, score, x, t, dx))
 
 
 # -- denoising score matching loss -------------------------------------------

@@ -1,4 +1,5 @@
-"""Central-difference stencils on the axis-offset layout.
+"""Central-difference stencils on the axis-offset layout, and the score's
+spatial derivatives taken with them.
 
 The stencil around a centre x in d dimensions is the 2d points
 
@@ -18,6 +19,16 @@ and Hessian also the centre value, the Hessian also the diagonal values),
 whatever produced them.  All are second-order accurate and exact on
 quadratics (gradient, Laplacian, Hessian) and on affine vector fields
 (Jacobian, divergence).
+
+The score's derivative helpers at the end share one sweep: the star and
+the diagonal centres around x, each with its 2d axis offsets.  Its
+assembly of s, div s, J, hess s and the gradient, Laplacian and Hessian of
+div s is one linear operator, built once per (d, dx); each helper takes
+the operator rows of its outputs, merges the sweep rows that land on one
+point (x + dx e_1 - dx e_1 is x), and scores those points in one call.
+The linear analytic score s = slope(t) x is the exception: the helpers
+return its exact derivatives (J = slope I, div s = d slope, every higher
+derivative 0) and make no score call.
 """
 
 from __future__ import annotations
@@ -26,14 +37,16 @@ import functools
 
 import numpy as np
 
+from .score import AnalyticGaussianScore
+
 
 @functools.lru_cache(maxsize=32)
 def offsets(d: int, dx: float) -> np.ndarray:
     """The (2d, d) offsets [+dx e_1, -dx e_1, +dx e_2, -dx e_2, ...].
 
-    Cached and read-only: the solvers ask for the same offsets on every
-    right-hand side, and building them anew costs a few percent of a
-    right-hand side with the analytic score.
+    Cached and read-only: ``points`` and ``star`` hand every caller the
+    one array for a (d, dx), so no caller may write to it.  No right-hand
+    side builds offsets: the sweep below caches its own.
     """
     offs = np.zeros((2 * d, d))
     for i in range(d):
@@ -129,3 +142,151 @@ def divergence(vals: np.ndarray, dx: float) -> np.ndarray:
     for i in range(d):
         div += (vals[..., 2 * i, i] - vals[..., 2 * i + 1, i]) / (2.0 * dx)
     return div
+
+
+# -- the score's spatial derivatives -----------------------------------------
+
+@functools.lru_cache(maxsize=32)
+def _operator(d: int, dx: float):
+    """(rows, operator, parts) of the one sweep at spacing dx in d dimensions.
+
+    ``rows`` lists the star and the diagonal centres around x, then each
+    centre's 2d axis offsets, as offsets from x.  ``operator`` maps the
+    flattened score values on the rows to the flattened outputs, and
+    ``parts`` gives each output's (start, stop, shape) by name.  Its columns
+    are the assembly applied to unit values: J comes from the axis centres,
+    ``hess s[k]`` from all centres, and the divergence at every centre gives
+    its gradient, Laplacian and Hessian.
+    """
+    zero = np.zeros(d)
+    centers = np.vstack([star(zero, dx), diagonal_points(zero, dx)])
+    n, na = centers.shape[0], 1 + 2 * d
+
+    def assemble(vals):
+        s_c = vals[:n]
+        divs = divergence(vals[n:].reshape(n, 2 * d, d), dx)
+        return {"s": s_c[0], "div": divs[0], "jac": jacobian(s_c[1:na], dx),
+                "hess": hessian(s_c[0], s_c[1:na].T, s_c[na:].T, dx),
+                "grad_div": gradient(divs[1:na], dx),
+                "lap_div": laplacian(divs[0], divs[1:na], dx),
+                "hess_div": hessian(divs[0], divs[1:na], divs[na:], dx)}
+
+    rows = np.vstack([centers, points(centers, dx).reshape(-1, d)])
+    unit, cols = np.zeros(rows.shape), []
+    for k in range(rows.size):
+        unit.flat[k] = 1.0
+        outs = assemble(unit)
+        cols.append(np.concatenate([np.ravel(o) for o in outs.values()]))
+        unit.flat[k] = 0.0
+    operator = np.column_stack(cols)
+    operator.flags.writeable = False
+    stops = np.cumsum([np.size(o) for o in outs.values()]).tolist()
+    return rows.tolist(), operator, {name: (hi - np.size(o), hi, np.shape(o))
+                                     for (name, o), hi in zip(outs.items(), stops)}
+
+
+@functools.lru_cache(maxsize=128)
+def _sweep(outputs: tuple, d: int, dx: float):
+    """(offsets, operator, parts) for the named ``outputs`` alone.
+
+    The operator is the full one's rows of those outputs on the sweep rows
+    they read, with the columns of rows on one point summed in row order.
+    ``offsets`` holds those points, each placed where its first row is
+    read, so both are, bit for bit, those of a sweep over only the rows
+    read.  Both arrays are cached and read-only.
+    """
+    rows, full, parts = _operator(d, dx)
+    picked = [parts[name] for name in outputs]
+    by_row = np.vstack([full[lo:hi] for lo, hi, _ in picked]).reshape(-1, len(rows), d)
+    blocks: dict = {}
+    for k in np.flatnonzero(by_row.any(axis=(0, 2))):  # the rows read
+        block = blocks.setdefault(tuple(rows[k]), np.zeros((by_row.shape[0], d)))
+        block += by_row[:, k]
+    offs = np.array(list(blocks)).reshape(-1, d)
+    operator = np.hstack(list(blocks.values()))
+    offs.flags.writeable = operator.flags.writeable = False
+    stops = np.cumsum([hi - lo for lo, hi, _ in picked]).tolist()
+    return offs, operator, tuple(zip([0] + stops[:-1], stops,
+                                     [shape for _, _, shape in picked]))
+
+
+def _derivatives(outputs: tuple, score, x, t, dx: float) -> list:
+    """The named outputs of the sweep around x: one score call on the
+    distinct points they read and one matrix product."""
+    x = np.asarray(x, dtype=float)
+    offsets, operator, parts = _sweep(outputs, x.size, dx)
+    out = operator.dot(score_batch(score, x + offsets, t).ravel())
+    return [out[lo:hi].reshape(shape) for lo, hi, shape in parts]
+
+
+def score_batch(score, xs: np.ndarray, t) -> np.ndarray:
+    """Evaluate a score on a stack of points at a common time."""
+    return np.asarray(score(xs, t), dtype=float)
+
+
+def _slope_identity(slope, d: int) -> np.ndarray:
+    """slope * I as a (d, d) array.  Filling the diagonal of a zero array
+    takes about a third of the time of ``slope * np.eye(d)`` in 2-D, and an
+    oracle point at the ``nll`` defaults builds ~165 of them."""
+    out = np.zeros((d, d))
+    out.flat[:: d + 1] = slope
+    return out
+
+
+def score_divergence(score, xs: np.ndarray, t, dx: float):
+    """(s, div s) at each of a stack of points, from one call on their stars
+    (2d + 1 rows per point) and one matrix product: (m, d) -> (m, d), (m,);
+    a single point (d,) is a stack of one.  ``t`` is one time for every
+    point, or one per point."""
+    xs = np.asarray(xs, dtype=float)
+    d = xs.shape[-1]
+    if isinstance(score, AnalyticGaussianScore):
+        xs = np.atleast_2d(xs)
+        slope = score.slope(t)
+        div = np.empty(xs.shape[0])
+        div[:] = np.ravel(d * slope)
+        return slope * xs, div
+    offsets, operator, _ = _sweep(("s", "div"), d, dx)
+    if isinstance(t, np.ndarray) and t.ndim:  # each point's time on its star's rows
+        t = np.repeat(t, offsets.shape[0])
+    vals = score_batch(score, (xs[..., None, :] + offsets).reshape(-1, d), t)
+    out = vals.reshape(-1, offsets.size).dot(operator.T)
+    return out[:, :d], out[:, d]
+
+
+def score_jacobian(score, x: np.ndarray, t: float, dx: float) -> np.ndarray:
+    """J[i, j] = d s_i / d x_j by central differences (2d rows)."""
+    if isinstance(score, AnalyticGaussianScore):
+        return _slope_identity(score.slope(t), np.size(x))
+    return _derivatives(("jac",), score, x, t, dx)[0]
+
+
+def score_div_derivatives(score, x: np.ndarray, t: float, dx: float):
+    """(div s, grad(div s), laplacian(div s)) from one batched stencil sweep.
+
+    grad and laplacian of the divergence are nested central differences: the
+    divergence itself is evaluated at x and at the 2d axis offsets, which
+    takes the score at 2d^2 + 2d + 1 distinct points (13 in 2-D).
+    """
+    if isinstance(score, AnalyticGaussianScore):
+        d = np.size(x)
+        return float(d * score.slope(t)), np.zeros(d), 0.0
+    div, grad_div, lap_div = _derivatives(("div", "grad_div", "lap_div"), score, x, t, dx)
+    return float(div), grad_div, float(lap_div)
+
+
+def score_second_derivatives(score, x: np.ndarray, t: float, dx: float):
+    """(s, J, hess s, grad(div s), hess(div s)) from one gathered stencil sweep.
+
+    The centres are the star and the diagonal points around x; the score is
+    evaluated at each centre and at each centre's 2d axis offsets: the
+    (2d^2 + 1)(2d + 1) stencil points fall on 5, 21 and 57 distinct points
+    in 1, 2 and 3 dimensions (45 rows on 21 points in 2-D).
+    """
+    if isinstance(score, AnalyticGaussianScore):
+        x = np.asarray(x, dtype=float)
+        d, slope = x.size, score.slope(t)
+        return (slope * x, _slope_identity(slope, d), np.zeros((d, d, d)), np.zeros(d),
+                np.zeros((d, d)))
+    return tuple(_derivatives(("s", "jac", "hess", "grad_div", "hess_div"),
+                              score, x, t, dx))

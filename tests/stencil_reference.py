@@ -1,9 +1,9 @@
 """Reference assembly of the score's spatial derivatives: the score is
 evaluated at every stencil point of every centre, each point formed as
 (x + centre offset) + axis offset, and the ``stencil`` functions are
-applied to the values directly.  ``wkb_lab.score`` evaluates each distinct
-point once and applies a linear operator built from the same formulas; the
-tests compare the two."""
+applied to the values directly.  The helpers in ``wkb_lab.stencil``
+evaluate each distinct point once and apply a linear operator built from
+the same formulas; the tests compare the two."""
 
 import numpy as np
 

@@ -6,7 +6,7 @@ from wkb_lab.error_est import (LocalErr, local_err_model_from_derivs,
                                local_err_subtraction_from_values)
 from wkb_lab.likelihood import FdStencil, OuterState, _error_bar_rhs, nll_first_order
 from wkb_lab.ode import OdeProblem, solve_adaptive
-from wkb_lab.score import score_div_derivatives
+from wkb_lab.stencil import score_div_derivatives
 
 
 def pipeline(eps: float):

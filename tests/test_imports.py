@@ -1,8 +1,13 @@
 """The commands that never solve an assignment or a quadrature must not load
 scipy's solvers, which add about 50 MB and most of the package's import
 time.  ``wasserstein`` and ``gaussian_oracle`` import them on first use, and
-the lazily loaded solvers must return what the eagerly loaded ones do."""
+the lazily loaded solvers must return what the eagerly loaded ones do.
 
+Training must load exactly the package modules whose sources key the cached
+trained models (``conftest._TRAIN_SOURCES``): a module it loads beyond them
+could change training without retraining them."""
+
+import ast
 import os
 import subprocess
 import sys
@@ -10,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import _TRAIN_SOURCES
 from wkb_lab.gaussian_oracle import GaussianModel
 from wkb_lab.wasserstein import w2_exact
 
@@ -47,3 +53,19 @@ def test_scipy_solvers_load_at_first_use_only():
 
     assert float(w2) == w2_exact(np.array(A), np.array(B)).distance
     assert float(residual) == GaussianModel(**MODEL).verify_flow_identity(0.5)
+
+
+TRAIN_PROBE = """
+import sys
+import wkb_lab.train
+print(sorted(m for m in sys.modules if m == "wkb_lab" or m.startswith("wkb_lab.")))
+"""
+
+
+def test_training_loads_exactly_the_sources_that_key_the_zoo():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", TRAIN_PROBE], env=env, capture_output=True,
+                         text=True, check=True)
+    want = ["wkb_lab"] + [f"wkb_lab.{name.removesuffix('.py')}" for name in _TRAIN_SOURCES]
+    assert ast.literal_eval(run.stdout) == sorted(want)

@@ -14,7 +14,8 @@ from wkb_lab.likelihood import (FdStencil, OuterState, _characteristic_rhs,
                                 nll_first_order, prior_grad, prior_logpdf)
 from wkb_lab.ode import OdeProblem, solve_adaptive
 from wkb_lab.schedule import Schedule, ScheduleKind
-from wkb_lab.score import AnalyticGaussianScore, MlpScore, score_second_derivatives
+from wkb_lab.score import AnalyticGaussianScore, MlpScore
+from wkb_lab.stencil import score_second_derivatives
 from wkb_lab.train import TrainConfig, train
 
 
@@ -296,13 +297,14 @@ def test_dataset_contains_any_exception_of_one_point(threads):
     assert summary.reports[0] is not None and summary.reports[2] is not None
 
 
-def test_dataset_rejects_unknown_scheme_before_any_point():
-    _, sched, score = pipeline(0.3)
-    with pytest.raises(ValueError):
-        nll_dataset(score, sched, np.zeros((2, 2)), err_scheme="nonsense")
+# (keyword arguments, the name the error gives): each is rejected on entry
+_BAD_ARGUMENTS = [pytest.param({"err_scheme": "nonsense"}, "scheme", id="scheme")] + [
+    pytest.param({name: value}, name, id=f"{name}={value!r}")
+    for name in ("tol_outer", "tol_inner") for value in (float("nan"), 0.0, -1e-3)]
 
 
-def test_first_order_rejects_unknown_scheme_before_any_solve():
+@pytest.mark.parametrize("kwargs, match", _BAD_ARGUMENTS)
+def test_dataset_rejects_unknown_scheme_before_any_point(kwargs, match):
     _, sched, exact = pipeline(0.3)
     calls = []
 
@@ -310,8 +312,22 @@ def test_first_order_rejects_unknown_scheme_before_any_solve():
         calls.append(t)
         return exact(x, t)
 
-    with pytest.raises(ValueError, match="scheme"):
-        nll_first_order(score, sched, np.array([0.1, 0.0]), err_scheme="nonsense")
+    with pytest.raises(ValueError, match=match):
+        nll_dataset(score, sched, np.zeros((2, 2)), **kwargs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kwargs, match", _BAD_ARGUMENTS)
+def test_first_order_rejects_unknown_scheme_before_any_solve(kwargs, match):
+    _, sched, exact = pipeline(0.3)
+    calls = []
+
+    def score(x, t):
+        calls.append(t)
+        return exact(x, t)
+
+    with pytest.raises(ValueError, match=match):
+        nll_first_order(score, sched, np.array([0.1, 0.0]), **kwargs)
     assert calls == []
 
 

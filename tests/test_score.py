@@ -12,8 +12,9 @@ from wkb_lab.errors import ArchitectureMismatch, CorruptFile, NonFinite, Version
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.score import (AdamState, AnalyticGaussianScore, MlpScore, adam_step,
                            checkpoint_load, checkpoint_save, draw_dsm_noise,
-                           dsm_loss, score_div_derivatives, score_divergence,
-                           score_jacobian, score_second_derivatives)
+                           dsm_loss)
+from wkb_lab.stencil import (score_div_derivatives, score_divergence, score_jacobian,
+                             score_second_derivatives)
 
 SCHED = Schedule(kind=ScheduleKind.SIMPLE, beta=20.0, dim=2)
 
@@ -298,6 +299,32 @@ def test_second_derivatives_exact_on_quadratic_score(d):
     np.testing.assert_allclose(grad_div, score_div_derivatives(score, x, 0.3, dx=0.05)[1],
                                atol=1e-8)
     assert score.rows[-2:] == [2 * d, 2 * d * d + 2 * d + 1]
+    # the star: 2d + 1 rows per point, for one point and for a stack
+    s_star, div = score_divergence(score, x, 0.3, dx=0.05)
+    np.testing.assert_allclose(s_star[0], s, atol=1e-12)
+    np.testing.assert_allclose(div, np.trace(jac), atol=1e-10)
+    score_divergence(score, np.stack([x, x + 0.1, x - 0.2]), 0.3, dx=0.05)
+    assert score.rows[-2:] == [2 * d + 1, 3 * (2 * d + 1)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_helpers_score_their_points_in_the_order_they_read_them(d):
+    # each distinct point where the helper's first row on it is read: the
+    # points, and so the operator and its rounding, of a sweep over only
+    # those rows (the star; the axis offsets; the axis offsets of each star
+    # centre; every centre, then each centre's axis offsets)
+    x, dx, zero = np.linspace(-0.5, 0.7, d), 0.05, np.zeros(d)
+    star = stencil.star(zero, dx)
+    centres = np.vstack([star, stencil.diagonal_points(zero, dx)])
+    sweeps = {score_divergence: star, score_jacobian: stencil.points(zero, dx),
+              score_div_derivatives: stencil.points(star, dx).reshape(-1, d),
+              score_second_derivatives: np.vstack(
+                  [centres, stencil.points(centres, dx).reshape(-1, d)])}
+    for helper, rows in sweeps.items():
+        seen = []
+        helper(lambda y, t: seen.append(y) or y, x, 0.3, dx)
+        offsets = np.array(list(dict.fromkeys(map(tuple, rows.tolist()))))
+        np.testing.assert_array_equal(seen[0], x + offsets)
 
 
 # (order of each output: the number of dx it is divided by)
