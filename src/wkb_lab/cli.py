@@ -133,7 +133,7 @@ def load_config(path: str | None, *overrides: dict) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     """Build the library objects that own a key's range rule; check the rest."""
     ds, nl, sw = cfg.dataset, cfg.nll, cfg.sweep
-    if ds["name"] not in ("swiss-roll", "25-gaussian"):
+    if ds["name"] not in data_mod.DATASETS:
         raise ConfigError(f"unknown dataset {ds['name']!r}")
     if ds["n"] < 1:
         raise ConfigError("dataset.n must be >= 1")
@@ -169,9 +169,7 @@ def _parse_h_values(raw: str) -> list[float]:
 
 def _make_dataset(cfg: RunConfig) -> data_mod.PointCloud:
     ds = cfg.dataset
-    if ds["name"] == "swiss-roll":
-        return data_mod.make_swiss_roll(ds["n"], seed=ds["seed"])
-    return data_mod.make_25gaussian(ds["n"], seed=ds["seed"])
+    return data_mod.DATASETS[ds["name"]](ds["n"], seed=ds["seed"])
 
 
 def _threads(args) -> int:
@@ -264,8 +262,7 @@ def cmd_nll(args) -> int:
         raise ConfigError(f"bad nll: n_points {nl['n_points']} exceeds dataset.n "
                           f"{cfg.dataset['n']}")
     cloud = _make_dataset(cfg)
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=cfg.dataset["seed"], spawn_key=(0x7A11,))))
+    rng = data_mod.stream(cfg.dataset["seed"], 0x7A11)
     idx = rng.permutation(len(cloud))[: nl["n_points"]]
     summary = nll_dataset(model, cfg.make_schedule(model.dim), cloud.points[idx],
                           stencil=FdStencil(dx=nl["dx"]),
@@ -283,8 +280,7 @@ def cmd_nll(args) -> int:
 
 def _w2_trial(job):
     model, schedule, cloud_points, data_seed, train_seed, n, h, trial = job
-    val_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        entropy=data_seed, spawn_key=(0x7E57, trial))))
+    val_rng = data_mod.stream(data_seed, 0x7E57, trial)
     val = cloud_points[val_rng.permutation(len(cloud_points))[:n]]
     gen_seed = int(np.random.SeedSequence(
         entropy=train_seed, spawn_key=(0x5A3, trial)).generate_state(1)[0])

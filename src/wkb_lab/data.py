@@ -1,11 +1,11 @@
-"""Synthetic 2-D datasets, point-cloud persistence and the package's one
-text-table writer.
+"""Synthetic 2-D datasets, point-cloud persistence, the package's one
+text-table writer and its one seeded-generator factory, ``stream``.
 
-Two generators: a spiral ("swiss roll" projected to its first and last
-axis) and a 5x5 grid of narrow Gaussians.  Both are normalized so the
-pooled per-coordinate standard deviation is 1; the grid mixture divides by
-the analytic population constant sqrt(8) so component means land on exactly
-reproducible positions.
+Two datasets (``DATASETS``): a spiral ("swiss roll" projected to its
+first and last axis) and a 5x5 grid of narrow Gaussians.  Both are
+normalized so the pooled per-coordinate standard deviation is 1; the grid
+mixture divides by the analytic population constant sqrt(8) so component
+means land on exactly reproducible positions.
 """
 
 from __future__ import annotations
@@ -38,8 +38,12 @@ class PointCloud:
         return self.points.shape[1]
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """The package's one generator factory: the PCG64 stream of ``seed``
+    under ``spawn_key=key``.  ``stream(s)`` draws what
+    ``np.random.default_rng(s)`` does; distinct keys give independent
+    streams of one seed."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def pooled_std(points: np.ndarray) -> float:
@@ -57,7 +61,7 @@ def make_swiss_roll(n: int, noise: float = 0.5, seed: int = 0) -> PointCloud:
     then divided by the pooled std."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = _rng(seed)
+    rng = stream(seed)
     u = rng.uniform(1.5 * np.pi, 4.5 * np.pi, size=n)
     pts = np.stack([u * np.cos(u), u * np.sin(u)], axis=1)
     pts += noise * rng.standard_normal((n, 2))
@@ -70,13 +74,17 @@ def make_25gaussian(n: int, seed: int = 0) -> PointCloud:
     divided by the fixed constant sqrt(8)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = _rng(seed)
+    rng = stream(seed)
     axis = np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
     means = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
     comp = rng.integers(0, 25, size=n)
     pts = means[comp] + _COMPONENT_STD * rng.standard_normal((n, 2))
     pts = pts / GRID_NORM
     return PointCloud(points=pts, name="25-gaussian", seed=seed, norm_constant=float(GRID_NORM))
+
+
+# the dataset names a run config accepts, each with its ``(n, seed=)`` maker
+DATASETS = {"swiss-roll": make_swiss_roll, "25-gaussian": make_25gaussian}
 
 
 def write_table(path, header: str, rows, footer: dict | None = None,

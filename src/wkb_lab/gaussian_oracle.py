@@ -54,8 +54,8 @@ class GaussianModel:
     T: float = 3.0
 
     def __post_init__(self):
-        if not (self.beta > 0.0 and self.v0 > 0.0 and self.T > 0.0):  # rejects NaN too
-            raise ValueError("beta, v0 and T must be positive")
+        if not all(0.0 < x < math.inf for x in (self.beta, self.v0, self.T)):  # and NaN
+            raise ValueError("beta, v0 and T must be positive and finite")
         if not math.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite")
 

@@ -8,8 +8,11 @@ Euler-Maruyama updates on a uniform grid read
 
 so h = 0 degenerates to the deterministic probability-flow drift
 f - (g^2/2) s and h = 1 to the standard reverse SDE.  Each trajectory draws
-its latent and then its per-step noise from one stream derived from (seed,
-trajectory index), so results do not depend on chunking or thread count.
+its latent and then its per-step noise from one stream, ``stream(seed,
+index)``, so results do not depend on chunking or thread count.  Latents
+come only from these streams: ``sample_ode(seed=s)`` starts from the
+latents of ``sample_sde`` with seed s, which makes the h = 0 and h = 1
+samplers and the ODE start from the same points.
 
 The Euler-Maruyama sweep evaluates an ``MlpScore`` in float32, on a copy
 taken when the sweep starts, and upcasts each output to float64 before the
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PointCloud
+from .data import PointCloud, stream
 from .errors import NonFinite
 from .ode import OdeProblem, solve_adaptive
 from .schedule import Schedule
@@ -64,18 +67,13 @@ class Trajectory:
             raise ValueError("times and states must have equal length")
 
 
-def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
-
-
 def _normals(seed: int, lo: int, hi: int, n_draws: int, dim: int) -> np.ndarray:
     """(hi-lo, n_draws, d) unit normals of trajectories lo..hi-1, one
     generator each: draw 0 is the latent x_{t_max}, draw k the noise of
     step k."""
     out = np.empty((hi - lo, n_draws, dim))
     for i in range(lo, hi):
-        out[i - lo] = _trajectory_rng(seed, i).standard_normal((n_draws, dim))
+        out[i - lo] = stream(seed, i).standard_normal((n_draws, dim))
     return out
 
 
@@ -120,39 +118,25 @@ def em_sweep(score, schedule: Schedule, h: float, ts: np.ndarray, x0: np.ndarray
     return x, hist
 
 
-def _check_latents(latents, n: int, d: int) -> np.ndarray | None:
-    if latents is None:
-        return None
-    latents = np.atleast_2d(np.asarray(latents, dtype=float))
-    if latents.shape != (n, d):
-        raise ValueError(f"latents must have shape {(n, d)}, got {latents.shape}")
-    return latents
-
-
 def sample_sde(score, schedule: Schedule, config: SamplerConfig, n: int,
-               latents: np.ndarray | None = None, n_record: int = 0
-               ) -> tuple[PointCloud, list[Trajectory]]:
+               n_record: int = 0) -> tuple[PointCloud, list[Trajectory]]:
     """Draw n samples by Euler-Maruyama on a uniform reverse-time grid.
 
-    ``latents`` overrides the seeded x_{t_max} draws (matched-noise tests);
-    the first ``n_record`` trajectories are returned alongside the cloud.
+    The first ``n_record`` trajectories are returned alongside the cloud.
     """
     d = schedule.dim
     ts = np.linspace(schedule.t_max, schedule.t_min, config.n_steps + 1)
-    latents = _check_latents(latents, n, d)
+    n_draws = 1 + config.n_steps if config.h > 0.0 else 1
     out = np.empty((n, d))
     recorded: list[Trajectory] = []
 
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        draws = None
-        if latents is None or config.h > 0.0:
-            n_draws = 1 + config.n_steps if config.h > 0.0 else 1
-            draws = _normals(config.seed, lo, hi, n_draws, d)
-        x0 = draws[:, 0] if latents is None else latents[lo:hi]
+        draws = _normals(config.seed, lo, hi, n_draws, d)
         noise = draws[:, 1:] if config.h > 0.0 else None
         rec = max(0, min(n_record - lo, hi - lo))
-        x, hist = em_sweep(score, schedule, config.h, ts, x0, noise, keep_history=rec)
+        x, hist = em_sweep(score, schedule, config.h, ts, draws[:, 0], noise,
+                           keep_history=rec)
         out[lo:hi] = x
         for j in range(rec):
             recorded.append(Trajectory(times=ts.copy(), states=hist[j]))
@@ -165,13 +149,13 @@ def pf_drift(score, schedule: Schedule, x: np.ndarray, t: float) -> np.ndarray:
     return schedule.drift_coef(t) * x - 0.5 * schedule.g2(t) * np.asarray(score(x, t))
 
 
-def sample_ode(score, schedule: Schedule, n: int, tol: float = 1e-5, seed: int = 0,
-               latents: np.ndarray | None = None) -> PointCloud:
-    """Deterministic samples: integrate the probability-flow ODE backward."""
+def sample_ode(score, schedule: Schedule, n: int, tol: float = 1e-5,
+               seed: int = 0) -> PointCloud:
+    """Deterministic samples: integrate the probability-flow ODE backward from
+    ``draw_latents(seed, n, d)``, the latents ``sample_sde`` starts from
+    with the same seed."""
     d = schedule.dim
-    latents = _check_latents(latents, n, d)
-    if latents is None:
-        latents = draw_latents(seed, n, d)
+    latents = draw_latents(seed, n, d)
 
     def rhs(t, y):
         x = y.reshape(-1, d)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PointCloud
+from .data import PointCloud, stream
 from .errors import ArchitectureMismatch, CorruptFile, NonFinite, VersionMismatch
 from .schedule import Schedule, ScheduleKind
 
@@ -103,8 +103,7 @@ class MlpScore:
         shapes = list(zip(widths[:-1], widths[1:]))
         parts = []
         for i, (fan_in, fan_out) in enumerate(shapes):
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
+            rng = stream(seed, i)
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             parts += [rng.uniform(-bound, bound, size=fan_in * fan_out), np.zeros(fan_out)]
         return cls(np.concatenate(parts), shapes, dim=dim, seed=seed)
@@ -199,8 +198,8 @@ class AnalyticGaussianScore:
     dim: int = 1
 
     def __post_init__(self):
-        if not (self.beta > 0.0 and self.v0 > 0.0):  # also rejects NaN
-            raise ValueError("beta and v0 must be positive")
+        if not (0.0 < self.beta < math.inf and 0.0 < self.v0 < math.inf):  # and NaN
+            raise ValueError("beta and v0 must be positive and finite")
         if not math.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite")
 
@@ -237,8 +236,7 @@ def _as_points(batch) -> np.ndarray:
 def draw_dsm_noise(n: int, dim: int, schedule: Schedule, rng_seed,
                    time_grid_size: int = _TIME_GRID_DEFAULT):
     """Per-item times off the discretized grid and unit normal draws."""
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else \
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else stream(rng_seed)
     grid = np.linspace(schedule.t_min, schedule.t_max, time_grid_size)
     ts = grid[rng.integers(0, time_grid_size, size=n)]
     zs = rng.standard_normal((n, dim))

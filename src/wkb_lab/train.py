@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PointCloud
+from .data import PointCloud, stream
 from .errors import NonFinite
 from .schedule import Schedule
 from .score import AdamState, MlpScore, adam_step, dsm_loss
@@ -65,8 +65,7 @@ def train(config: TrainConfig, dataset: PointCloud, schedule: Schedule) -> Train
     model = MlpScore.create(dim=dataset.dim, seed=config.seed)
     work = model.single()  # the float32 copy each step runs on
     adam = AdamState.init(model.params, lr=config.lr)
-    batch_rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(0xBA7C,))))
+    batch_rng = stream(config.seed, 0xBA7C)
     steps_per_epoch = -(-n // config.batch_size)
 
     trace = np.empty(config.epochs)
@@ -75,8 +74,7 @@ def train(config: TrainConfig, dataset: PointCloud, schedule: Schedule) -> Train
         epoch_losses = np.empty(steps_per_epoch)
         for k in range(steps_per_epoch):
             idx = batch_rng.integers(0, n, size=config.batch_size)
-            noise_rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(entropy=config.seed, spawn_key=(0xD5, step))))
+            noise_rng = stream(config.seed, 0xD5, step)
             # a parameter beyond float32 range becomes inf in the copy, and
             # the forward pass reports the non-finite output
             with np.errstate(over="ignore"):

@@ -17,7 +17,7 @@ from .pathaction import DiscretePath, DiscretizationScheme, forward_action
 from .sampler import SamplerConfig, sample_sde
 from .schedule import Schedule, ScheduleKind
 from .score import MlpScore
-from . import stencil
+from . import data, stencil
 from .wasserstein import w2_exact
 
 _ALL_SCHEDULES = (
@@ -67,7 +67,7 @@ def run_verification(stream) -> list[str]:
     check("vprime_closed_form_vs_ode", worst, 1e-8)
 
     # one-step transition-density identity for the Ito action, all schedules
-    rng = np.random.default_rng(2024)
+    rng = data.stream(2024)
     worst = 0.0
     for schedule in _ALL_SCHEDULES:
         for _ in range(34):
@@ -96,7 +96,7 @@ def run_verification(stream) -> list[str]:
     from itertools import permutations
     worst = 0.0
     for trial in range(10):
-        rng2 = np.random.default_rng(100 + trial)
+        rng2 = data.stream(100 + trial)
         a = rng2.standard_normal((6, 2))
         b = rng2.standard_normal((6, 2))
         best = min(np.sum((a - b[list(p)]) ** 2) for p in permutations(range(6)))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wkb_lab
-from wkb_lab.data import make_25gaussian, make_swiss_roll
+from wkb_lab.data import DATASETS
 from wkb_lab.gaussian_oracle import GaussianModel
 from wkb_lab.likelihood import (FdStencil, _characteristic_solve, _logq_derivs,
                                 _zeroth_order_solve)
@@ -47,9 +47,7 @@ def logq_characteristic(score, schedule: Schedule, x0, dx: float, tol: float):
 
 
 def make_dataset(name: str, n: int, seed: int = DATA_SEED):
-    if name == "swiss-roll":
-        return make_swiss_roll(n, seed=seed)
-    return make_25gaussian(n, seed=seed)
+    return DATASETS[name](n, seed=seed)
 
 
 def make_train_schedule(kind: ScheduleKind) -> Schedule:

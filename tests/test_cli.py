@@ -92,6 +92,16 @@ def test_gen_data_command(mini_config, tmp_path):
     assert len(cloud) == 600
 
 
+def test_unknown_dataset_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "moons.ini"
+    path.write_text(MINI_CONFIG.replace("name = swiss-roll", "name = moons"))
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown dataset 'moons'") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gaussian_command_exact_score_has_zero_w2(tmp_path):
     out = tmp_path / "out"
     assert main(["gaussian", "--eps", "0", "--out", str(out)]) == 0
@@ -231,6 +241,9 @@ def test_w2_sweep_is_independent_of_the_worker_count(mini_checkpoint, tmp_path):
     ["sample", "--record", "-3"],
     ["gaussian", "--n-h", "0"],
     ["sample", "--n", "10", "--record", "100"],
+    ["gaussian", "--beta", "inf"],
+    ["gaussian", "--v0", "inf"],
+    ["gaussian", "--T", "inf"],
 ])
 def test_bad_flag_value_is_a_config_error(mini_checkpoint, tmp_path, capsys, argv):
     config, ckpt = mini_checkpoint

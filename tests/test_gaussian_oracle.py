@@ -18,7 +18,8 @@ def test_v_t_values():
 
 @pytest.mark.parametrize("kwargs", [{"beta": np.nan}, {"v0": 0.0}, {"T": -1.0},
                                     {"epsilon": np.nan}, {"epsilon": np.inf},
-                                    {"epsilon": -np.inf}])
+                                    {"epsilon": -np.inf}, {"beta": np.inf},
+                                    {"v0": np.inf}, {"T": np.inf}])
 def test_model_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         GaussianModel(**{"beta": 1.0, "v0": 2.0, "epsilon": 0.3, "T": 3.0, **kwargs})

@@ -69,3 +69,34 @@ def test_training_loads_exactly_the_sources_that_key_the_zoo():
                          text=True, check=True)
     want = ["wkb_lab"] + [f"wkb_lab.{name.removesuffix('.py')}" for name in _TRAIN_SOURCES]
     assert ast.literal_eval(run.stdout) == sorted(want)
+
+
+_GENERATOR_FACTORIES = {"PCG64", "Generator", "default_rng"}
+
+
+def _factory_calls(tree) -> list[tuple[int, str]]:
+    """(line, name) of every call to a generator factory under ``tree``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in _GENERATOR_FACTORIES:
+                out.append((node.lineno, name))
+    return out
+
+
+def test_data_stream_is_the_only_generator_factory():
+    # every seeded stream of the package comes from data.stream, so one
+    # (seed, key) fixes its bits everywhere
+    calls = {}
+    for path in sorted((SRC / "wkb_lab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls[path.name] = _factory_calls(tree)
+        if path.name == "data.py":
+            stream = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "stream")
+            inside = _factory_calls(stream)
+            assert sorted(name for _, name in inside) == ["Generator", "PCG64"]
+            calls[path.name] = [call for call in calls[path.name] if call not in inside]
+    assert {name: found for name, found in calls.items() if found} == {}

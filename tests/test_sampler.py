@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wkb_lab.data import write_table
+from wkb_lab.data import stream, write_table
 from wkb_lab.gaussian_oracle import GaussianModel
 from wkb_lab.sampler import (SamplerConfig, Trajectory, draw_latents, em_sweep,
                              sample_ode, sample_sde)
@@ -36,13 +36,11 @@ def test_same_seed_reproduces_cloud():
 
 
 def test_latents_shared_between_sde_and_ode():
+    # one seed starts both samplers from the same latents
     _, sched, score = oracle()
-    lat = draw_latents(9, 32, 2)
-    em, _ = sample_sde(score, sched, SamplerConfig(h=0.0, n_steps=4000, seed=9),
-                       32, latents=lat)
-    od = sample_ode(score, sched, 32, tol=1e-10, seed=9, latents=lat)
-    coarse, _ = sample_sde(score, sched, SamplerConfig(h=0.0, n_steps=1000, seed=9),
-                           32, latents=lat)
+    em, _ = sample_sde(score, sched, SamplerConfig(h=0.0, n_steps=4000, seed=9), 32)
+    od = sample_ode(score, sched, 32, tol=1e-10, seed=9)
+    coarse, _ = sample_sde(score, sched, SamplerConfig(h=0.0, n_steps=1000, seed=9), 32)
     fine_err = np.max(np.abs(em.points - od.points))
     coarse_err = np.max(np.abs(coarse.points - od.points))
     assert fine_err < 2e-3
@@ -52,17 +50,15 @@ def test_latents_shared_between_sde_and_ode():
 def test_zero_score_zero_drift_returns_latents():
     zero_score = lambda x, t: np.zeros_like(np.atleast_2d(x))
     sched = DriftFree()
-    lat = draw_latents(1, 16, 2)
-    out = sample_ode(zero_score, sched, 16, tol=1e-8, seed=1, latents=lat)
-    np.testing.assert_array_equal(out.points, lat)
+    out = sample_ode(zero_score, sched, 16, tol=1e-8, seed=1)
+    np.testing.assert_array_equal(out.points, draw_latents(1, 16, 2))
 
 
 def test_stationary_unit_variance_flow_is_identity():
     # v0 = 1 with an exact score makes the probability-flow drift vanish
     _, sched, score = oracle(eps=0.0, v0=1.0, beta=1.0, T=3.0)
-    lat = draw_latents(2, 64, 2)
-    out = sample_ode(score, sched, 64, tol=1e-8, seed=2, latents=lat)
-    np.testing.assert_allclose(out.points, lat, atol=1e-12)
+    out = sample_ode(score, sched, 64, tol=1e-8, seed=2)
+    np.testing.assert_allclose(out.points, draw_latents(2, 64, 2), atol=1e-12)
 
 
 def test_em_sample_variance_matches_data_variance():
@@ -176,23 +172,20 @@ def test_single_copy_leaves_the_model_untouched():
     np.testing.assert_array_equal(model(x, 0.4), before)
 
 
-def test_sample_ode_rejects_latents_of_the_wrong_shape():
-    _, sched, score = oracle()
-    with pytest.raises(ValueError, match="latents"):
-        sample_ode(score, sched, 10, latents=draw_latents(0, 32, 2))
-
-
 @pytest.mark.parametrize("h", [0.0, 1.0])
 def test_seeded_latents_are_the_first_draws_of_each_stream(monkeypatch, h):
-    # with or without noise, and in chunks of any size
+    # with or without noise, and in chunks of any size: trajectory i starts
+    # from the first draw of stream(4, i) and takes its step noise from the
+    # draws after it
     _, sched, score = oracle()
     cfg = SamplerConfig(h=h, n_steps=30, seed=4)
-    given, _ = sample_sde(score, sched, cfg, 40, latents=draw_latents(4, 40, 2))
-    seeded, _ = sample_sde(score, sched, cfg, 40)
-    monkeypatch.setattr("wkb_lab.sampler._CHUNK", 16)
-    chunked, _ = sample_sde(score, sched, cfg, 40)
-    np.testing.assert_array_equal(seeded.points, given.points)
-    np.testing.assert_array_equal(chunked.points, given.points)
+    draws = np.stack([stream(4, i).standard_normal((31, 2)) for i in range(40)])
+    ts = np.linspace(sched.t_max, sched.t_min, 31)
+    want, _ = em_sweep(score, sched, h, ts, draws[:, 0], draws[:, 1:])
+    for chunk in (1024, 16):
+        monkeypatch.setattr("wkb_lab.sampler._CHUNK", chunk)
+        seeded, _ = sample_sde(score, sched, cfg, 40)
+        np.testing.assert_array_equal(seeded.points, want)
 
 
 @pytest.mark.slow
@@ -208,12 +201,11 @@ def test_trained_model_float32_sweep_matches_float64(trained_zoo, h):
 @pytest.mark.slow
 def test_trained_model_sde_matches_ode_at_zero_noise(trained_zoo):
     model, sched, _ = trained_zoo.get("swiss-roll", ScheduleKind.SIMPLE)
-    lat = draw_latents(21, 24, 2)
-    # the drift-only Euler scheme is first order; 16k steps puts its error
-    # well inside the 1e-3 agreement bound (measured gap halves per doubling)
-    em, _ = sample_sde(model, sched, SamplerConfig(h=0.0, n_steps=16_000, seed=21),
-                       24, latents=lat)
-    od = sample_ode(model, sched, 24, tol=1e-9, seed=21, latents=lat)
+    # seed 21 starts both from the same latents; the drift-only Euler scheme
+    # is first order, and 16k steps puts its error well inside the 1e-3
+    # agreement bound (measured gap halves per doubling)
+    em, _ = sample_sde(model, sched, SamplerConfig(h=0.0, n_steps=16_000, seed=21), 24)
+    od = sample_ode(model, sched, 24, tol=1e-9, seed=21)
     assert np.max(np.abs(em.points - od.points)) < 1e-3
 
 

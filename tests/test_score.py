@@ -50,6 +50,7 @@ def test_analytic_score_is_gaussian_gradient():
 
 @pytest.mark.parametrize("beta, v0, eps", [(np.nan, 2.0, 0.0), (1.0, np.nan, 0.0),
                                            (0.0, 2.0, 0.0), (1.0, -1.0, 0.0),
+                                           (np.inf, 2.0, 0.0), (1.0, np.inf, 0.0),
                                            (1.0, 2.0, np.nan), (1.0, 2.0, np.inf)])
 def test_analytic_score_rejects_bad_parameters(beta, v0, eps):
     with pytest.raises(ValueError):
