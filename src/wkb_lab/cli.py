@@ -334,11 +334,10 @@ def cmd_gaussian(args) -> int:
         raise ConfigError(f"bad gaussian: --n-h must be >= 1, got {args.n_h}")
     with _range_rules("gaussian"):
         model = GaussianModel(beta=args.beta, v0=args.v0, epsilon=args.eps, T=args.T)
-    hs = np.linspace(0.0, 1.0, args.n_h)
+        curves = gaussian_curves(model, np.linspace(0.0, 1.0, args.n_h))
     out = _out_dir(args)
     echo = {f"gaussian.{key}": val for key, val in asdict(model).items()}
-    data_mod.write_table(out / "gaussian_curves.tsv", "h\tnll\tw2",
-                         gaussian_curves(model, hs), echo=echo)
+    data_mod.write_table(out / "gaussian_curves.tsv", "h\tnll\tw2", curves, echo=echo)
     grid = flow_identity_residual_grid(model, [0.0, 0.25, 0.5, 1.0], [-0.2, 0.0, 0.3])
     data_mod.write_table(out / "flow_identity_residuals.tsv", "h\teps\tresidual", grid,
                          echo=echo)

@@ -149,8 +149,23 @@ class GaussianModel:
 
 
 def gaussian_curves(model: GaussianModel, h_values) -> list[tuple[float, float, float]]:
-    """(h, nll, w2) rows for closed-form sweep tables."""
-    return [(float(h), model.nll(h), model.w2(h)) for h in np.asarray(h_values, dtype=float)]
+    """(h, nll, w2) rows for closed-form sweep tables.
+
+    Raises ValueError if at some h the model variance v'_0 is not positive
+    and finite in floats, or the nll or w2 it gives is not finite: at large
+    |epsilon| the closed form overflows (e^z with z ~ -epsilon m) or
+    underflows toward 0.
+    """
+    rows = []
+    for h in np.asarray(h_values, dtype=float):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            vp0 = model.vprime_t(h, 0.0)
+            row = (float(h), model.nll(h), model.w2(h)) if 0.0 < vp0 < math.inf else None
+        if row is None or not all(map(math.isfinite, row)):
+            raise ValueError(f"the closed form leaves the float range at h={h:g}, "
+                             f"epsilon={model.epsilon:g} (model variance {vp0:g})")
+        rows.append(row)
+    return rows
 
 
 def flow_identity_residual_grid(model_base: GaussianModel, h_values,

@@ -19,12 +19,18 @@ characteristic equations
     da/dt = -J_pf^T a + (g^2/2) grad(div s)
     dH/dt = -J_pf^T H - H J_pf + (g^2/2) [ sum_k a_k hess(s_k) + hess(div s) ]
 
-from a = -x_T, H = -I at t_max.  One adaptive solve of (x, a, H, c) from
-t_max down to t_min, with c(t) the integral above from t to T (so
-dc/dt = -(g^2/2) [...] and c(T) = 0), gives correction1 = -c(t_min).  A
-last pass integrates the conservative local-error bounds along that
-solve's trajectory (DOPRI5's continuous extension between its steps),
-giving the final err_bound.
+from a = -x_T, H = -I at t_max.  The zeroth-order solve records its
+trajectory x(t) (DOPRI5's continuous extension between its steps), and one
+adaptive solve of (a, H, c) along it from t_max down to t_min, with c(t)
+the integral above from t to T (so dc/dt = -(g^2/2) [...] and c(T) = 0),
+gives correction1 = -c(t_min).  A last pass integrates the conservative
+local-error bounds along the same x(t), giving the final err_bound.
+
+Neither later pass has x in its state, so the score derivatives they need
+depend on t alone.  The solver announces each step attempt's stage times
+before the stages run (``OdeProblem.stage_hook``); each pass then scores
+its derivatives at all of them in one stacked call and folds them into
+per-stage linear coefficients, and a stage is one small matrix product.
 
 The spatial derivatives of the score are central differences at the one
 stencil spacing dx, except for the linear analytic score, whose derivatives
@@ -33,9 +39,13 @@ are exact in closed form; the ``stencil`` helpers return both.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,7 +53,9 @@ from .error_est import local_err_model_from_derivs, local_err_subtraction_from_v
 from .errors import WkbLabError
 from .ode import DenseOutput, OdeProblem, OdeSolution, check_tol, solve_adaptive
 from .schedule import Schedule
-from .stencil import (score_div_derivatives, score_divergence, score_jacobian,
+# score_jacobian is no longer called here; it stays importable under this
+# name because perfbench/tracing.py wraps it there
+from .stencil import (score_div_derivatives, score_divergence, score_jacobian,  # noqa: F401
                       score_second_derivatives)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -90,7 +102,7 @@ def _pf_with_div_rhs(score, schedule: Schedule, m: int, dx: float):
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         X = y[: m * d].reshape(m, d)
         a = schedule.drift_coef(t)
-        half_gg = 0.5 * schedule.g2(t)
+        half_gg = -a  # variance preserving: g^2 / 2 = -a, bit for bit
         s, div_s = score_divergence(score, X, t, dx)
         out = np.empty(y.size)  # [flow of each point, divergence of each]
         np.subtract(X * a, s * half_gg, out=out[: m * d].reshape(m, d))
@@ -101,8 +113,11 @@ def _pf_with_div_rhs(score, schedule: Schedule, m: int, dx: float):
 
 
 def _zeroth_order_solve(score, schedule: Schedule, xs: np.ndarray, t_start: float,
-                        tol: float, stencil: FdStencil | None):
-    """(log q0 at ``t_start``, end states x_T) for a stack of points."""
+                        tol: float, stencil: FdStencil | None,
+                        record_trace: bool = False):
+    """(log q0 at ``t_start``, the solve) for a stack of points.  The
+    solve's state is the m points, then their divergence integrals; with
+    ``record_trace`` its ``dense`` gives the points' trajectory."""
     stencil = stencil or FdStencil()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     m, d = xs.shape
@@ -113,10 +128,9 @@ def _zeroth_order_solve(score, schedule: Schedule, xs: np.ndarray, t_start: floa
     y0 = np.concatenate([xs.ravel(), np.zeros(m)])
     sol = solve_adaptive(OdeProblem(
         rhs=_pf_with_div_rhs(score, schedule, m, stencil.dx),
-        t0=t_start, t1=schedule.t_max, y0=y0, tol=tol))
+        t0=t_start, t1=schedule.t_max, y0=y0, tol=tol), record_trace=record_trace)
     x_T = sol.y_final[: m * d].reshape(m, d)
-    ell = sol.y_final[m * d:]
-    return prior_logpdf(x_T) + ell, x_T
+    return prior_logpdf(x_T) + sol.y_final[m * d:], sol
 
 
 def logq_pf_batch(score, schedule: Schedule, xs: np.ndarray, t_start: float,
@@ -132,68 +146,177 @@ def logq_pf(score, schedule: Schedule, x: np.ndarray, t_start: float,
                                t_start, tol, stencil)[0])
 
 
+class _StageTable:
+    """A right-hand side's coefficients at the stage times of one attempt.
+
+    ``make(ts)`` computes them in one stacked evaluation at an array of
+    times and yields one entry per time.  The solver's stage hook (this
+    object called with the times) fills the table once per attempt, and
+    the right-hand side reads its time's entry with ``at``.  A time that
+    no hook announced, as under a solver that calls none, gets a table of
+    its own, so the right-hand side also works without the hook.
+    """
+
+    def __init__(self, make):
+        self._make = make
+        self._rows: dict = {}
+
+    def __call__(self, times: tuple) -> None:
+        self._rows = dict(zip(times, self._make(np.array(times))))
+
+    def at(self, t: float):
+        row = self._rows.get(t)
+        if row is None:
+            self((t,))
+            row = self._rows[t]
+        return row
+
+
 # -- grad log q0, its Hessian and the first-order coefficient along the flow ----
 
-def _characteristic_rhs(score, schedule: Schedule, dx: float):
-    """RHS of the (x, a, H, c) system: the flow, a = grad log q0_t(x),
-    H = its Hessian and the first-order accumulator c, with
-    J_pf = alpha I - (g^2/2) J the flow Jacobian."""
-    d = schedule.dim
-    eye = np.eye(d)
+def _characteristic_form(u: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
+    """The (a, H, c) right-hand side over g^2/2, without the a . a term of
+    c, as a form bilinear in u = [1, a, H, c] and v = [1, s, J, hess s,
+    grad(div s), hess(div s)]: each term multiplies one entry of each,
+    which is 1 where the formula has no factor from that side.
 
-    def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        x, a, hess = z[:d], z[d: 2 * d], z[2 * d: -1].reshape(d, d)
-        alpha = schedule.drift_coef(t)
-        half_gg = 0.5 * schedule.g2(t)
-        s, jac, hess_s, grad_div_s, hess_div_s = score_second_derivatives(score, x, t, dx)
-        neg_jac_pf_t = jac.T * half_gg  # -J_pf^T
-        neg_jac_pf_t -= eye * alpha
-        out = np.empty(z.size)  # [x_dot, a_dot, h_dot, c_dot]
-        np.subtract(x * alpha, s * half_gg, out=out[:d])
-        np.add(neg_jac_pf_t.dot(a), grad_div_s * half_gg, out=out[d: 2 * d])
-        # sum_k a_k hess(s_k), one product over the flattened Hessians
-        drive = a.dot(hess_s.reshape(d, d * d))
-        drive += hess_div_s.ravel()
-        drive *= half_gg
-        # -J_pf^T H - H J_pf, with -H J_pf = H (-J_pf^T)^T
-        h_dot = out[2 * d: -1].reshape(d, d)
-        neg_jac_pf_t.dot(hess, out=h_dot)
-        h_dot += hess.dot(neg_jac_pf_t.T)
-        h_dot += drive.reshape(d, d)
-        # the first-order integrand, with div s = tr J and lap log q0 = tr H
-        out[-1] = -half_gg * (float(a.dot(s - a)) + float(jac.trace())
-                              - float(hess.trace()))
-        return out
-
-    return rhs
+    Every schedule is variance preserving, alpha = -g^2/2, so the flow
+    Jacobian J_pf = alpha I - (g^2/2) J has -J_pf^T = (g^2/2)(J^T + I).
+    """
+    u0, a, hess = u[0], u[1: 1 + d], u[1 + d: 1 + d + d * d].reshape(d, d)
+    # v holds the outputs of ``score_second_derivatives``, flattened in order
+    parts = np.split(v, np.cumsum([1, d, d * d, d ** 3, d]))
+    v0, s, grad_div = parts[0][0], parts[1], parts[4]
+    jac, hess_s, hess_div = (parts[2].reshape(d, d), parts[3].reshape(d, d, d),
+                             parts[5].reshape(d, d))
+    a_dot = jac.T.dot(a) + v0 * a + u0 * grad_div
+    h_dot = (jac.T.dot(hess) + hess.dot(jac) + 2.0 * v0 * hess
+             + np.einsum("k,kij->ij", a, hess_s) + u0 * hess_div)
+    c_dot = -a.dot(s) - u0 * np.trace(jac) + v0 * np.trace(hess)
+    return np.concatenate([a_dot, h_dot.ravel(), [c_dot]])
 
 
-def _characteristic_solve(score, schedule: Schedule, x_T: np.ndarray, tol: float,
-                          stencil: FdStencil) -> OdeSolution:
-    """One adaptive solve at ``tol`` of the (x, a, H, c) system from t_max,
-    where a = grad log pi(x_T) = -x_T, H = -I and c = 0, down to t_min.
+@functools.lru_cache(maxsize=8)
+def _characteristic_operator(d: int) -> np.ndarray:
+    """``_characteristic_form`` as one array: entry [o, i, j] is output o's
+    coefficient of u_i v_j, probed with unit vectors.  Returned as
+    (outputs * len(u), len(v)), cached and read-only."""
+    n_u, n_v = 2 + d + d * d, 1 + 2 * d + 2 * d * d + d ** 3
+    op = np.empty((n_u - 1, n_u, n_v))
+    u, v = np.zeros(n_u), np.zeros(n_v)
+    for i in range(n_u):
+        u[i] = 1.0
+        for j in range(n_v):
+            v[j] = 1.0
+            op[:, i, j] = _characteristic_form(u, v, d)
+            v[j] = 0.0
+        u[i] = 0.0
+    op = op.reshape(-1, n_v)
+    op.flags.writeable = False
+    return op
 
-    ``y_final[-1]`` is -correction1, and the continuous extension ``dense``
-    gives x_ref(t), a(t) and H(t) between the steps.
+
+def _characteristic_rhs(score, schedule: Schedule, dx: float, path):
+    """(rhs, stage table) of the (a, H, c) system along x(t) = ``path``:
+    a = grad log q0_t(x), H = its Hessian and the first-order accumulator c.
+
+    Per attempt, the table scores the derivatives at the stage points in
+    one stacked call and folds v = (g^2/2)[1, derivatives] at each stage
+    time into the bilinear operator, in one product; a stage is then one
+    matrix-vector product with u = [1, a, H, c], plus the (g^2/2) a . a
+    term of c.
     """
     d = schedule.dim
-    z_T = np.concatenate([x_T, prior_grad(x_T), -np.eye(d).ravel(), [0.0]])
+    operator = _characteristic_operator(d)
+    n_u = 2 + d + d * d
+
+    def make(ts):
+        k = ts.size
+        half_gg = -schedule.drift_coef(ts)
+        derivs = score_second_derivatives(score, path(ts), ts, dx)
+        v = np.hstack([np.ones((k, 1))] + [o.reshape(k, -1) for o in derivs])
+        v *= half_gg[:, None]
+        ops = v.dot(operator.T).reshape(k, -1, n_u)
+        return zip(ops, half_gg.tolist())
+
+    table = _StageTable(make)
+    u = np.ones(n_u)  # u[0] stays 1
+
+    def rhs(t: float, z: np.ndarray) -> np.ndarray:
+        op, half_gg = table.at(t)
+        u[1:] = z
+        out = op.dot(u)
+        a = z[:d]
+        out[-1] += half_gg * float(a.dot(a))
+        return out
+
+    return rhs, table
+
+
+def _characteristic_solve(score, schedule: Schedule, path, x_T: np.ndarray, tol: float,
+                          stencil: FdStencil) -> OdeSolution:
+    """One adaptive solve at ``tol`` of the (a, H, c) system along
+    x(t) = ``path`` from t_max, where a = grad log pi(x_T) = -x_T, H = -I
+    and c = 0, down to t_min.
+
+    ``y_final[-1]`` is -correction1, and the continuous extension ``dense``
+    gives a(t) and H(t) between the steps.
+    """
+    d = schedule.dim
+    z_T = np.concatenate([prior_grad(x_T), -np.eye(d).ravel(), [0.0]])
+    rhs, table = _characteristic_rhs(score, schedule, stencil.dx, path)
     return solve_adaptive(OdeProblem(
-        rhs=_characteristic_rhs(score, schedule, stencil.dx),
-        t0=schedule.t_max, t1=schedule.t_min, y0=z_T, tol=tol), record_trace=True)
+        rhs=rhs, t0=schedule.t_max, t1=schedule.t_min, y0=z_T, tol=tol,
+        stage_hook=table), record_trace=True)
 
 
-def _logq_derivs(dense: DenseOutput, d: int):
+def _logq_derivs(back: DenseOutput, path, d: int):
     """``derivs(t, x) -> (grad log q0_t(x), laplacian log q0_t(x))`` for x
-    near the trajectory of a characteristic solve's ``dense`` output: the
-    first-order expansion a + H (x - x_ref), and tr H."""
+    near x_ref(t) = ``path``, from the ``dense`` output of the
+    characteristic solve along it: the first-order expansion
+    a + H (x - x_ref), and tr H.  ``t`` is a float and x (d,), or ``t``
+    holds k times and x is (k, d)."""
 
-    def derivs(t: float, x: np.ndarray):
-        z = dense(t)
-        hess = z[2 * d: -1].reshape(d, d)
-        return z[d: 2 * d] + hess.dot(x - z[:d]), float(hess.trace())
+    def derivs(t, x):
+        ts = np.atleast_1d(t)
+        z = back.at(ts)
+        hess = z[:, d: d + d * d].reshape(-1, d, d)
+        step = np.reshape(x, (-1, d)) - path(ts)
+        grad = z[:, :d] + np.einsum("kij,kj->ki", hess, step)
+        lap = np.trace(hess, axis1=1, axis2=2)
+        return (grad, lap) if np.ndim(t) else (grad[0], float(lap[0]))
 
     return derivs
+
+
+class _Characteristic(NamedTuple):
+    """The passes of one point at one tolerance: log q0(x0), the end state
+    x_T, the trajectory x(t) of the zeroth-order solve and the backward
+    (a, H, c) solve along it."""
+
+    log_q0: float
+    x_T: np.ndarray
+    path: Callable
+    back: OdeSolution
+
+    def logq_derivs(self):
+        return _logq_derivs(self.back.dense, self.path, self.x_T.size)
+
+
+def _characteristic(score, schedule: Schedule, x0: np.ndarray, tol: float,
+                    stencil: FdStencil) -> _Characteristic:
+    """The zeroth-order solve from x0 at t_min to t_max, recording its
+    trajectory, and the characteristic solve back along it, both at ``tol``."""
+    d = schedule.dim
+    logq, flow = _zeroth_order_solve(score, schedule, x0[None, :], schedule.t_min, tol,
+                                     stencil, record_trace=True)
+
+    def path(ts) -> np.ndarray:  # x at each of k times, (k, d)
+        return flow.dense.at(ts)[:, :d]
+
+    x_T = flow.y_final[:d]
+    return _Characteristic(float(logq[0]), x_T, path,
+                           _characteristic_solve(score, schedule, path, x_T, tol, stencil))
 
 
 # -- first order ---------------------------------------------------------------
@@ -215,48 +338,56 @@ class OuterState(NamedTuple):
         return float(self.err1 @ np.abs(prior_grad(x_T))) + abs(self.err2)
 
 
-def _error_bar_rhs(score, schedule: Schedule, stencil: FdStencil, dense: DenseOutput,
-                   err_scheme: str, logq_err: float = 0.0,
-                   loose: DenseOutput | None = None):
-    """RHS of the error-bar state along x_ref(t), the trajectory of the
-    characteristic solve whose continuous extension is ``dense``; the
-    ``subtraction`` scheme also takes ``loose``, that of the solve at the
-    stretched tolerance."""
-    if err_scheme == "subtraction" and loose is None:
+def _error_bar_rhs(score, schedule: Schedule, stencil: FdStencil, path,
+                   err_scheme: str, logq_err: float = 0.0, derivs=None):
+    """(rhs, stage table) of the error-bar state along x_ref(t) = ``path``,
+    the trajectory of the zeroth-order solve.  The ``subtraction`` scheme
+    also takes ``derivs``, the (tight, loose) pair of ``_logq_derivs`` of
+    the characteristic solves at tol_inner and at the stretched tolerance.
+
+    Per attempt, the table takes J and the divergence derivatives at the
+    stage points from one stacked sweep, and the local errors from them;
+    a stage is then |L err1| + b with that time's L and b.
+    """
+    if err_scheme == "subtraction" and derivs is None:
         raise ValueError("the subtraction scheme needs a second characteristic")
     d = schedule.dim
     dx = stencil.dx
     eye = np.eye(d)
-    loose_derivs = _logq_derivs(loose, d) if loose is not None else None
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        err1 = y[:d]
-        z = dense(t)
-        x = z[:d]
-        a = schedule.drift_coef(t)
-        half_gg = 0.5 * schedule.g2(t)
-
-        jac = score_jacobian(score, x, t, dx)
-        _, grad_div_s, lap_div_s = score_div_derivatives(score, x, t, dx)
+    def make(ts):
+        k = ts.size
+        xs = path(ts)
+        alpha = schedule.drift_coef(ts)
+        half_gg = -alpha
+        jac, _, grad_div_s, lap_div_s = score_div_derivatives(score, xs, ts, dx,
+                                                              jacobian=True)
         if err_scheme == "model":
             local = local_err_model_from_derivs(grad_div_s, lap_div_s, dx,
                                                 logq_err=logq_err)
         else:
-            tight = z[d: 2 * d], float(z[2 * d: -1].reshape(d, d).trace())
-            local = local_err_subtraction_from_values(tight, loose_derivs(t, x))
-
+            tight, loose = derivs
+            local = local_err_subtraction_from_values(tight(ts, xs), loose(ts, xs))
         # full flow Jacobian inside one absolute value: the linear drift and
         # the score part nearly cancel near stationarity, and splitting them
         # would inflate the bound by exp(int |a| + |g^2 J/2|) ~ 1e4
-        jac_pf = eye * a - jac * half_gg
-        out = np.empty(y.size)  # [err1_dot, err2_dot]
-        err1_dot = out[:d]
-        np.abs(jac_pf.dot(err1), out=err1_dot)
-        err1_dot += local.grad_err * half_gg
-        out[d] = abs(half_gg * float(err1.dot(grad_div_s))) + half_gg * local.lap_err
+        lin = np.empty((k, d + 1, d))  # rows: J_pf, then (g^2/2) grad(div s)
+        lin[:, :d] = alpha[:, None, None] * eye - half_gg[:, None, None] * jac
+        lin[:, d] = half_gg[:, None] * grad_div_s
+        const = np.empty((k, d + 1))
+        const[:, :d] = half_gg[:, None] * local.grad_err
+        const[:, d] = half_gg * local.lap_err
+        return zip(lin, const)
+
+    table = _StageTable(make)
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        lin, const = table.at(t)
+        out = np.abs(lin.dot(y[:d]))  # [err1_dot, err2_dot]
+        out += const
         return out
 
-    return rhs
+    return rhs, table
 
 
 def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
@@ -266,15 +397,18 @@ def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
     """Zeroth-order log-likelihood plus the first-order noise coefficient.
 
     Three passes per point.  The zeroth-order solve from t_min to t_max at
-    ``tol_inner`` gives log q0 and the end state x_T.  From x_T one backward
-    solve at ``tol_inner`` carries grad log q0_t, its Hessian and the
-    first-order coefficient down the flow (``_characteristic_solve``).  The
-    error bar then runs from t_min to t_max at ``tol_outer`` along that
-    solve's trajectory (``_error_bar_rhs``).  ``err_scheme`` picks the
-    local-error estimator: "model" from score derivatives, or "subtraction"
-    from a second backward solve at ``1.1 * tol_inner``.  The model
-    scheme's solver floor is measured once per point as the zeroth-order
-    difference between solves at ``tol_inner`` and ``1.1 * tol_inner``.
+    ``tol_inner`` gives log q0 and records the trajectory x(t).  Along it,
+    one backward solve at ``tol_inner`` carries grad log q0_t, its Hessian
+    and the first-order coefficient from t_max down to t_min
+    (``_characteristic_solve``).  The error bar then runs from t_min to
+    t_max at ``tol_outer`` along the same x(t) (``_error_bar_rhs``).  Both
+    later passes score the derivatives once per step attempt, at all its
+    stage times in one stacked call, and not once per stage.
+    ``err_scheme`` picks the local-error estimator: "model" from score
+    derivatives, or "subtraction" from both passes rerun at
+    ``1.1 * tol_inner``.  The model scheme's solver floor is measured once
+    per point as the zeroth-order difference between solves at
+    ``tol_inner`` and ``1.1 * tol_inner``.
     """
     if err_scheme not in _ERR_SCHEMES:
         raise ValueError(f"unknown error scheme {err_scheme!r}")
@@ -285,25 +419,21 @@ def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
     d = schedule.dim
     if x0.shape != (d,):
         raise ValueError(f"x0 must have shape ({d},)")
-    logq, x_T = _zeroth_order_solve(score, schedule, x0[None, :], schedule.t_min,
-                                    tol_inner, stencil)
-    log_q0, x_T = float(logq[0]), x_T[0]
-    logq_err = 0.0
+    tight = _characteristic(score, schedule, x0, tol_inner, stencil)
+    logq_err, derivs = 0.0, None
     if err_scheme == "model":
         loose = logq_pf(score, schedule, x0, schedule.t_min, 1.1 * tol_inner, stencil)
-        logq_err = abs(loose - log_q0)
-    back = _characteristic_solve(score, schedule, x_T, tol_inner, stencil)
-    loose_dense = None
-    if err_scheme == "subtraction":
-        loose_dense = _characteristic_solve(score, schedule, x_T, 1.1 * tol_inner,
-                                            stencil).dense
+        logq_err = abs(loose - tight.log_q0)
+    else:
+        loose = _characteristic(score, schedule, x0, 1.1 * tol_inner, stencil)
+        derivs = tight.logq_derivs(), loose.logq_derivs()
 
-    rhs = _error_bar_rhs(score, schedule, stencil, back.dense, err_scheme, logq_err,
-                         loose_dense)
+    rhs, table = _error_bar_rhs(score, schedule, stencil, tight.path, err_scheme,
+                                logq_err, derivs)
     bar = solve_adaptive(OdeProblem(rhs=rhs, t0=schedule.t_min, t1=schedule.t_max,
-                                    y0=np.zeros(d + 1), tol=tol_outer))
-    return NllReport(log_q0=log_q0, correction1=-float(back.y_final[-1]),
-                     err_bound=OuterState.of(bar.y_final).err_bound(x_T))
+                                    y0=np.zeros(d + 1), tol=tol_outer, stage_hook=table))
+    return NllReport(log_q0=tight.log_q0, correction1=-float(tight.back.y_final[-1]),
+                     err_bound=OuterState.of(bar.y_final).err_bound(tight.x_T))
 
 
 # -- dataset aggregation --------------------------------------------------------
@@ -345,6 +475,31 @@ class NllSummary:
         return "point\tlog_q0\tcorrection1\terr_bound\tstatus", rows, footer
 
 
+# BLAS libraries read these as they load.  The stage tables' stacked score
+# calls (65 and 105 rows) are large enough for a BLAS to split across
+# threads, and with every core already running a worker process, two
+# threads per worker made a 2-worker dataset run on a 2-core host 7x
+# slower than single-threaded BLAS.
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "1"}
+
+
+@contextlib.contextmanager
+def _one_blas_thread_each():
+    """Pin BLAS to one thread in the worker processes spawned inside: they
+    inherit the environment, which is restored on exit."""
+    saved = {key: os.environ.get(key) for key in _ONE_BLAS_THREAD}
+    os.environ.update(_ONE_BLAS_THREAD)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
 def _point_job(args):
     score, schedule, x, stencil, tol_outer, tol_inner, err_scheme = args
     try:
@@ -360,8 +515,9 @@ def nll_dataset(score, schedule: Schedule, cloud, stencil: FdStencil | None = No
     """Per-point first-order reports over a point cloud, aggregated.
 
     Failed points (solver blow-ups, or anything else a point raises) are
-    excluded and counted.  ``threads`` spreads points over worker
-    processes; results are independent of the worker count.
+    excluded and counted.  ``threads`` spreads points over spawned worker
+    processes, each with single-threaded BLAS; results are independent of
+    the worker count.
     """
     if err_scheme not in _ERR_SCHEMES:
         raise ValueError(f"unknown error scheme {err_scheme!r}")
@@ -371,7 +527,8 @@ def nll_dataset(score, schedule: Schedule, cloud, stencil: FdStencil | None = No
     jobs = [(score, schedule, x, stencil, tol_outer, tol_inner, err_scheme)
             for x in pts]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with _one_blas_thread_each(), ProcessPoolExecutor(
+                max_workers=threads, mp_context=multiprocessing.get_context("spawn")) as pool:
             reports = list(pool.map(_point_job, jobs, chunksize=1))
     else:
         reports = [_point_job(job) for job in jobs]

@@ -4,6 +4,17 @@ The solver is the workhorse behind samplers, likelihood solves and error
 propagation.  It integrates in either time direction (the direction is
 taken from the sign of ``t1 - t0``), controls the local error per step
 against ``tol + tol * |y|`` and uses a PI controller for the step size.
+
+A problem may also give a stage hook, which learns every time at which the
+right-hand side is about to be evaluated before any of those evaluations:
+``(t0,)`` before the first one, the initial-step probe's time before the
+probe, and before each step attempt from t with signed size h its five
+distinct stage times t + c h, c = 1/5, 3/10, 4/5, 8/9, 1 (the last two of
+the seven stages share t + h, and the first is the previous step's last).
+They are the same floats the right-hand side then receives, so a
+right-hand side whose coefficients depend on t alone can compute them for
+a whole attempt in one stacked call and look them up by time.  The hook
+changes no step or its arithmetic.
 """
 
 from __future__ import annotations
@@ -18,9 +29,11 @@ import numpy as np
 from .errors import NonFinite, StepUnderflow
 
 Rhs = Callable[[float, np.ndarray], np.ndarray]
+StageHook = Callable[[tuple], None]
 
 # Dormand-Prince 5(4) tableau (FSAL: stage 7 equals the next step's stage 1).
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)  # floats: stage times stay floats
+_C_ATTEMPT = _C[1:6]  # the distinct stage times an attempt evaluates
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -69,7 +82,9 @@ def check_tol(tol: float, name: str = "tol") -> None:
 @dataclass
 class OdeProblem:
     """Initial-value problem ``dy/dt = rhs(t, y)`` from t0 to t1, solved to
-    the absolute and relative local-error tolerance ``tol``."""
+    the absolute and relative local-error tolerance ``tol``; ``stage_hook``
+    receives the times of the coming evaluations (see the module
+    docstring)."""
 
     rhs: Rhs
     t0: float
@@ -77,6 +92,7 @@ class OdeProblem:
     y0: np.ndarray
     tol: float = 1e-5
     max_steps: int = 1_000_000
+    stage_hook: StageHook | None = None
 
     def __post_init__(self):
         self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
@@ -100,8 +116,8 @@ class DenseOutput:
         self.q = np.asarray(q, dtype=float)
         # breakpoints in increasing order, whichever way the solve ran
         self._forward = bool(self.h[0] > 0.0)
-        breaks = self.t_start[1:] if self._forward else self.t_start[:0:-1]
-        self._breaks = breaks.tolist()
+        self._break_array = self.t_start[1:] if self._forward else self.t_start[:0:-1]
+        self._breaks = self._break_array.tolist()
         # per-step rows, so that a call indexes lists and not arrays
         self._steps = list(zip(self.t_start.tolist(), self.h.tolist(), self.y_start,
                                self.q))
@@ -114,13 +130,34 @@ class DenseOutput:
         theta = (t - t_start) / h
         return y_start + h * q.dot(theta ** _POWERS)
 
+    def at(self, ts) -> np.ndarray:
+        """``y`` at each of a sequence of times, stacked (k, len(y)): the
+        interpolant of a call per time, evaluated in one pass (its products
+        may round apart from a call's)."""
+        ts = np.asarray(ts, dtype=float)
+        i = np.searchsorted(self._break_array, ts, side="right")
+        if not self._forward:
+            i = self.h.size - 1 - i
+        h = self.h[i]
+        theta = (ts - self.t_start[i]) / h
+        poly = np.matmul(self.q[i], (theta[:, None] ** _POWERS)[:, :, None])[:, :, 0]
+        return self.y_start[i] + h[:, None] * poly
+
 
 @dataclass
 class OdeSolution:
+    """End of a solve.  ``n_steps`` counts step attempts, ``n_rejected``
+    those the error control rejected."""
+
     t_final: float
     y_final: np.ndarray
     n_steps: int
     dense: DenseOutput | None = field(default=None, repr=False)
+    n_rejected: int = 0
+
+    @property
+    def n_accepted(self) -> int:
+        return self.n_steps - self.n_rejected
 
 
 def _error_norm(err: np.ndarray, abs_old: np.ndarray, abs_new: np.ndarray,
@@ -137,7 +174,8 @@ def _error_norm(err: np.ndarray, abs_old: np.ndarray, abs_new: np.ndarray,
 
 
 def _initial_step(rhs: Rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
-                  direction: float, span: float, tol: float) -> float:
+                  direction: float, span: float, tol: float,
+                  hook: StageHook | None = None) -> float:
     # Hairer-Norsett-Wanner II.4 starting-step heuristic, with one departure:
     # from a state that is zero on the tolerance scale (d0 < 1e-5 <= d1) the
     # 1e-6 * span h0 only probes for d2, and capping the step at 100 h0 would
@@ -149,7 +187,10 @@ def _initial_step(rhs: Rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
     h0 = 1e-6 * span if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + h0 * direction * f0
-    f1 = np.asarray(rhs(t0 + h0 * direction, y1), dtype=float)
+    t_probe = t0 + h0 * direction
+    if hook is not None:
+        hook((t_probe,))
+    f1 = np.asarray(rhs(t_probe, y1), dtype=float)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6 * span, h0 * 1e-3)
@@ -179,12 +220,14 @@ def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSoluti
         return OdeSolution(t_final=t1, y_final=y, n_steps=0)
     direction = 1.0 if t1 > t0 else -1.0
 
-    rhs = problem.rhs
+    rhs, hook = problem.rhs, problem.stage_hook
     t = t0
+    if hook is not None:
+        hook((t,))
     f = np.asarray(rhs(t, y), dtype=float)
     if not np.all(np.isfinite(f)):
         raise NonFinite(f"rhs not finite at t={t}")
-    h = _initial_step(rhs, t, y, f, direction, span, problem.tol)
+    h = _initial_step(rhs, t, y, f, direction, span, problem.tol, hook)
     min_step = 1e-14 * span
     steps: list[tuple[float, float, np.ndarray, np.ndarray]] = []
 
@@ -193,7 +236,7 @@ def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSoluti
     k[0] = f  # FSAL: an accepted step moves its last stage here
     abs_y = np.abs(y)
     err_prev = 1e-4
-    n_steps = 0
+    n_steps = n_rejected = 0
     while (t1 - t) * direction > 0.0:
         if n_steps >= problem.max_steps:
             raise StepUnderflow(f"exceeded max_steps={problem.max_steps} at t={t}")
@@ -201,6 +244,8 @@ def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSoluti
         if h < min_step:
             raise StepUnderflow(f"step size {h:.3e} underflowed at t={t}")
         hd = h * direction
+        if hook is not None:
+            hook(tuple(t + c * hd for c in _C_ATTEMPT))
         # ndarray.dot: the same products as @, with less overhead per call
         for i in range(1, 7):
             k[i] = rhs(t + _C[i] * hd, y + k_t[:, :i].dot(_A[i]) * hd)
@@ -226,8 +271,10 @@ def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSoluti
             err_prev = max(err, 1e-10)
         else:
             factor = _SAFETY * (err + 1e-16) ** (-_PI_ALPHA)
+            n_rejected += 1
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         n_steps += 1
 
     dense = DenseOutput(*zip(*steps)) if record_trace else None
-    return OdeSolution(t_final=t1, y_final=y, n_steps=n_steps, dense=dense)
+    return OdeSolution(t_final=t1, y_final=y, n_steps=n_steps, dense=dense,
+                       n_rejected=n_rejected)

@@ -28,7 +28,11 @@ the operator rows of its outputs, merges the sweep rows that land on one
 point (x + dx e_1 - dx e_1 is x), and scores those points in one call.
 The linear analytic score s = slope(t) x is the exception: the helpers
 return its exact derivatives (J = slope I, div s = d slope, every higher
-derivative 0) and make no score call.
+derivative 0) and make no score call.  Every helper takes one point (d,)
+or a stack of points (m, d), with one time for all of them or an (m,)
+array of one time per point, and stacks a stack's outputs along a leading
+axis, so that a caller that knows several points in advance (the stage
+points of an ODE step attempt) scores them all in one call.
 """
 
 from __future__ import annotations
@@ -211,26 +215,53 @@ def _sweep(outputs: tuple, d: int, dx: float):
 
 
 def _derivatives(outputs: tuple, score, x, t, dx: float) -> list:
-    """The named outputs of the sweep around x: one score call on the
-    distinct points they read and one matrix product."""
+    """The named outputs of the sweep around x, or around each point of a
+    stack (m, d) with the outputs stacked along a leading axis: one score
+    call on the distinct points they read and one matrix product.  ``t`` is
+    one time for every point, or one per point.  The linear analytic score
+    gets its exact derivatives instead, with no score call."""
     x = np.asarray(x, dtype=float)
-    offsets, operator, parts = _sweep(outputs, x.size, dx)
-    out = operator.dot(score_batch(score, x + offsets, t).ravel())
-    return [out[lo:hi].reshape(shape) for lo, hi, shape in parts]
+    xs = x if x.ndim == 2 else x[None, :]
+    m, d = xs.shape
+    if isinstance(score, AnalyticGaussianScore):
+        out = _linear_derivatives(outputs, score.slope(t), xs)
+    else:
+        offsets, operator, parts = _sweep(outputs, d, dx)
+        if isinstance(t, np.ndarray) and t.ndim:  # each point's time on its rows
+            t = np.repeat(t, offsets.shape[0])
+        vals = score_batch(score, (xs[:, None, :] + offsets).reshape(-1, d), t)
+        flat = vals.reshape(m, -1).dot(operator.T)
+        out = [flat[:, lo:hi].reshape((m,) + shape) for lo, hi, shape in parts]
+    return out if x.ndim == 2 else [o[0] for o in out]
+
+
+def _linear_derivatives(outputs: tuple, slope, xs: np.ndarray) -> list:
+    """The named outputs, stacked, for s = slope x: J = slope I, div s =
+    d slope and every higher derivative 0.  ``slope`` is one float, or a
+    column with one slope per point."""
+    m, d = xs.shape
+    col = np.empty((m, 1))
+    col[:] = slope
+    out = []
+    for name in outputs:
+        if name == "s":
+            out.append(col * xs)
+        elif name == "div":
+            out.append(d * col[:, 0])
+        elif name == "jac":
+            jac = np.zeros((m, d, d))
+            jac.reshape(m, d * d)[:, :: d + 1] = col  # the diagonals
+            out.append(jac)
+        else:  # a higher derivative
+            shape = {"hess": (d, d, d), "grad_div": (d,), "lap_div": (),
+                     "hess_div": (d, d)}[name]
+            out.append(np.zeros((m,) + shape))
+    return out
 
 
 def score_batch(score, xs: np.ndarray, t) -> np.ndarray:
     """Evaluate a score on a stack of points at a common time."""
     return np.asarray(score(xs, t), dtype=float)
-
-
-def _slope_identity(slope, d: int) -> np.ndarray:
-    """slope * I as a (d, d) array.  Filling the diagonal of a zero array
-    takes about a third of the time of ``slope * np.eye(d)`` in 2-D, and an
-    oracle point at the ``nll`` defaults builds ~165 of them."""
-    out = np.zeros((d, d))
-    out.flat[:: d + 1] = slope
-    return out
 
 
 def score_divergence(score, xs: np.ndarray, t, dx: float):
@@ -254,28 +285,29 @@ def score_divergence(score, xs: np.ndarray, t, dx: float):
     return out[:, :d], out[:, d]
 
 
-def score_jacobian(score, x: np.ndarray, t: float, dx: float) -> np.ndarray:
-    """J[i, j] = d s_i / d x_j by central differences (2d rows)."""
-    if isinstance(score, AnalyticGaussianScore):
-        return _slope_identity(score.slope(t), np.size(x))
+def score_jacobian(score, x: np.ndarray, t, dx: float) -> np.ndarray:
+    """J[i, j] = d s_i / d x_j by central differences (2d rows per point)."""
     return _derivatives(("jac",), score, x, t, dx)[0]
 
 
-def score_div_derivatives(score, x: np.ndarray, t: float, dx: float):
-    """(div s, grad(div s), laplacian(div s)) from one batched stencil sweep.
+def score_div_derivatives(score, x: np.ndarray, t, dx: float, jacobian: bool = False):
+    """(div s, grad(div s), laplacian(div s)) from one batched stencil sweep;
+    with ``jacobian``, J first and then those three, from the same sweep.
 
     grad and laplacian of the divergence are nested central differences: the
     divergence itself is evaluated at x and at the 2d axis offsets, which
-    takes the score at 2d^2 + 2d + 1 distinct points (13 in 2-D).
+    takes the score at 2d^2 + 2d + 1 distinct points (13 in 2-D), among
+    them the 2d axis points that J reads.  For one point the divergence and
+    its Laplacian are floats.
     """
-    if isinstance(score, AnalyticGaussianScore):
-        d = np.size(x)
-        return float(d * score.slope(t)), np.zeros(d), 0.0
-    div, grad_div, lap_div = _derivatives(("div", "grad_div", "lap_div"), score, x, t, dx)
-    return float(div), grad_div, float(lap_div)
+    names = ("jac",) if jacobian else ()
+    out = _derivatives(names + ("div", "grad_div", "lap_div"), score, x, t, dx)
+    if np.ndim(x) == 1:
+        out[-3], out[-1] = float(out[-3]), float(out[-1])
+    return tuple(out)
 
 
-def score_second_derivatives(score, x: np.ndarray, t: float, dx: float):
+def score_second_derivatives(score, x: np.ndarray, t, dx: float):
     """(s, J, hess s, grad(div s), hess(div s)) from one gathered stencil sweep.
 
     The centres are the star and the diagonal points around x; the score is
@@ -283,10 +315,5 @@ def score_second_derivatives(score, x: np.ndarray, t: float, dx: float):
     (2d^2 + 1)(2d + 1) stencil points fall on 5, 21 and 57 distinct points
     in 1, 2 and 3 dimensions (45 rows on 21 points in 2-D).
     """
-    if isinstance(score, AnalyticGaussianScore):
-        x = np.asarray(x, dtype=float)
-        d, slope = x.size, score.slope(t)
-        return (slope * x, _slope_identity(slope, d), np.zeros((d, d, d)), np.zeros(d),
-                np.zeros((d, d)))
     return tuple(_derivatives(("s", "jac", "hess", "grad_div", "hess_div"),
                               score, x, t, dx))

@@ -10,8 +10,7 @@ import pytest
 import wkb_lab
 from wkb_lab.data import DATASETS
 from wkb_lab.gaussian_oracle import GaussianModel
-from wkb_lab.likelihood import (FdStencil, _characteristic_solve, _logq_derivs,
-                                _zeroth_order_solve)
+from wkb_lab.likelihood import FdStencil, _characteristic
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.score import checkpoint_load, checkpoint_save
 from wkb_lab.train import TrainConfig, train
@@ -33,17 +32,16 @@ def oracle_model(epsilon: float) -> GaussianModel:
 
 
 def characteristic(score, schedule: Schedule, x0, dx: float, tol: float):
-    """(backward characteristic solve, end state x_T) of the flow from x0 at
-    t_min, as ``nll_first_order`` builds them."""
-    _, x_T = _zeroth_order_solve(score, schedule, np.asarray(x0)[None, :],
-                                 schedule.t_min, tol, FdStencil(dx))
-    return _characteristic_solve(score, schedule, x_T[0], tol, FdStencil(dx)), x_T[0]
+    """The zeroth-order and backward characteristic solves of the flow from
+    x0 at t_min, as ``nll_first_order`` builds them: ``.x_T`` is the end
+    state, ``.path`` the trajectory x(t) and ``.back`` the backward solve."""
+    return _characteristic(score, schedule, np.asarray(x0, dtype=float), tol,
+                           FdStencil(dx))
 
 
 def logq_characteristic(score, schedule: Schedule, x0, dx: float, tol: float):
     """grad log q0_t and its Laplacian along the flow from x0 at t_min."""
-    return _logq_derivs(characteristic(score, schedule, x0, dx, tol)[0].dense,
-                        schedule.dim)
+    return characteristic(score, schedule, x0, dx, tol).logq_derivs()
 
 
 def make_dataset(name: str, n: int, seed: int = DATA_SEED):

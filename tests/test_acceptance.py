@@ -295,13 +295,14 @@ def test_criterion_11_error_machinery(trained_zoo):
 
     # injecting larger local errors never decreases the bound
     from wkb_lab.likelihood import OuterState, _error_bar_rhs
-    back, x_T = characteristic(model, sched, val.points[0], 0.01, 1e-5)
+    tight = characteristic(model, sched, val.points[0], 0.01, 1e-5)
     grown = []
     for floor in (1e-6, 1e-4):
-        rhs = _error_bar_rhs(model, sched, FdStencil(0.01), back.dense, "model", floor)
+        rhs, table = _error_bar_rhs(model, sched, FdStencil(0.01), tight.path, "model",
+                                    floor)
         sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, np.zeros(3),
-                                        tol=1e-3))
-        grown.append(OuterState.of(sol.y_final).err_bound(x_T))
+                                        tol=1e-3, stage_hook=table))
+        grown.append(OuterState.of(sol.y_final).err_bound(tight.x_T))
     elapsed = time.time() - t0
     assert grown[0] <= grown[1]
     assert 0.013 <= mean_bound <= 1.3, f"mean err bound {mean_bound:.3f}"

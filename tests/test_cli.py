@@ -244,6 +244,9 @@ def test_w2_sweep_is_independent_of_the_worker_count(mini_checkpoint, tmp_path):
     ["gaussian", "--beta", "inf"],
     ["gaussian", "--v0", "inf"],
     ["gaussian", "--T", "inf"],
+    ["gaussian", "--eps=1e3"],
+    ["gaussian", "--eps=-1e3"],
+    ["gaussian", "--eps=310"],
 ])
 def test_bad_flag_value_is_a_config_error(mini_checkpoint, tmp_path, capsys, argv):
     config, ckpt = mini_checkpoint

@@ -66,11 +66,13 @@ def test_local_err_rejects_negative():
 def test_zero_local_errors_give_zero_bound():
     # the subtraction scheme against its own characteristic has zero local error
     _, sched, score = pipeline(0.3)
-    back, x_T = characteristic(score, sched, np.array([0.1, 0.0]), 0.05, 1e-6)
-    rhs = _error_bar_rhs(score, sched, FdStencil(0.05), back.dense, "subtraction",
-                         loose=back.dense)
-    sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, np.zeros(3), tol=1e-4))
-    assert OuterState.of(sol.y_final).err_bound(x_T) == 0.0
+    tight = characteristic(score, sched, np.array([0.1, 0.0]), 0.05, 1e-6)
+    derivs = tight.logq_derivs()
+    rhs, table = _error_bar_rhs(score, sched, FdStencil(0.05), tight.path, "subtraction",
+                                derivs=(derivs, derivs))
+    sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, np.zeros(3), tol=1e-4,
+                                    stage_hook=table))
+    assert OuterState.of(sol.y_final).err_bound(tight.x_T) == 0.0
     rep_bound = nll_first_order(score, sched, np.array([0.1, 0.0]), FdStencil(0.05),
                                 tol_outer=1e-4, tol_inner=1e-6,
                                 err_scheme="model").err_bound
@@ -79,25 +81,25 @@ def test_zero_local_errors_give_zero_bound():
 
 def test_error_components_nondecreasing_along_integration():
     _, sched, score = pipeline(0.3)
-    back, _ = characteristic(score, sched, np.array([0.1, -0.05]), 0.05, 1e-6)
-    rhs = _error_bar_rhs(score, sched, FdStencil(0.05), back.dense, err_scheme="model",
-                         logq_err=1e-6)
+    path = characteristic(score, sched, np.array([0.1, -0.05]), 0.05, 1e-6).path
+    rhs, table = _error_bar_rhs(score, sched, FdStencil(0.05), path, err_scheme="model",
+                                logq_err=1e-6)
     sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, np.zeros(3),
-                                    tol=1e-4), record_trace=True)
+                                    tol=1e-4, stage_hook=table), record_trace=True)
     errs = np.vstack([sol.dense.y_start, sol.y_final])
     assert np.all(np.diff(errs, axis=0) >= -1e-15)
 
 
 def test_bound_monotone_in_injected_local_error():
     _, sched, score = pipeline(0.3)
-    back, x_T = characteristic(score, sched, np.array([0.1, -0.05]), 0.05, 1e-6)
+    tight = characteristic(score, sched, np.array([0.1, -0.05]), 0.05, 1e-6)
     bounds = []
     for floor in (1e-6, 1e-5, 1e-4):
-        rhs = _error_bar_rhs(score, sched, FdStencil(0.05), back.dense,
-                             err_scheme="model", logq_err=floor)
+        rhs, table = _error_bar_rhs(score, sched, FdStencil(0.05), tight.path,
+                                    err_scheme="model", logq_err=floor)
         sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, np.zeros(3),
-                                        tol=1e-5))
-        bounds.append(OuterState.of(sol.y_final).err_bound(x_T))
+                                        tol=1e-5, stage_hook=table))
+        bounds.append(OuterState.of(sol.y_final).err_bound(tight.x_T))
     assert bounds[0] < bounds[1] < bounds[2]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -146,8 +147,9 @@ def test_first_order_stable_under_stencil_halving():
 def test_one_ulp_does_not_move_the_oracle_result():
     # the oracle's derivatives are exact, so no stencil rounding noise
     # steers the backward pass's step sizes: a one-ulp move of x0 moves
-    # correction1 by rounding only (1.4e-13 measured; stencil
-    # derivatives gave 3.6e-9 here)
+    # correction1 by rounding only (2.1e-12 measured with x(t) read from
+    # the zeroth-order solve, 1.4e-13 when the backward pass integrated x;
+    # stencil derivatives gave 3.6e-9 here)
     _, sched, score = pipeline(0.3)
     worst = 0.0
     for x in np.random.default_rng(3).standard_normal((30, 2)) * 0.9:
@@ -297,6 +299,32 @@ def test_dataset_contains_any_exception_of_one_point(threads):
     assert summary.reports[0] is not None and summary.reports[2] is not None
 
 
+class _NeedsOneBlasThread:
+    """The oracle score where BLAS is pinned to one thread, NaN elsewhere."""
+
+    def __init__(self, score):
+        self.score = score
+
+    def __call__(self, x, t):
+        s = self.score(x, t)
+        pinned = all(os.environ.get(key) == "1" for key in
+                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+        return s if pinned else np.full_like(s, np.nan)
+
+
+def test_dataset_workers_run_blas_on_one_thread(monkeypatch):
+    # the worker processes already share out the cores; a BLAS thread pool
+    # in each would oversubscribe them.  The caller's environment stays.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    _, sched, score = pipeline(0.3)
+    summary = nll_dataset(_NeedsOneBlasThread(score), sched,
+                          np.array([[0.1, 0.0], [0.0, 0.5], [-0.1, 0.05]]),
+                          stencil=FdStencil(0.05), tol_outer=1e-4, tol_inner=1e-6, threads=2)
+    assert summary.n_failed == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4" and "MKL_NUM_THREADS" not in os.environ
+
+
 # (keyword arguments, the name the error gives): each is rejected on entry
 _BAD_ARGUMENTS = [pytest.param({"err_scheme": "nonsense"}, "scheme", id="scheme")] + [
     pytest.param({name: value}, name, id=f"{name}={value!r}")
@@ -332,10 +360,13 @@ def test_first_order_rejects_unknown_scheme_before_any_solve(kwargs, match):
 
 
 def test_score_rows_per_right_hand_side_are_pinned(monkeypatch):
-    # a timing-free cost guard: every right-hand side of a pass makes the
-    # same score calls, and a change that adds rows shows here.  A wrapped
-    # callable takes the stencil sweeps; the analytic score itself has
-    # closed-form derivatives and makes no score call at all.
+    # a timing-free cost guard.  A wrapped callable takes the stencil
+    # sweeps: each zeroth-order right-hand side scores its star (5 rows).
+    # The backward and error-bar stages score nothing; their stage tables
+    # make one stacked call per step attempt, at its 5 distinct stage times
+    # (21 and 13 rows per time), and one single-time call each before the
+    # first evaluation and before the initial-step probe.  The analytic
+    # score has closed-form derivatives and makes no score call at all.
     _, sched, exact = pipeline(0.3)
     rows = []
     analytic_call = AnalyticGaussianScore.__call__
@@ -348,30 +379,49 @@ def test_score_rows_per_right_hand_side_are_pinned(monkeypatch):
         return exact(x, t)
 
     monkeypatch.setattr(AnalyticGaussianScore, "__call__", counted_call)
-    per_pass = {}
+    per_rhs, per_hook, attempts = {}, {}, {}
 
     def counting_solve(problem, **kwargs):
-        rhs, name = problem.rhs, problem.rhs.__qualname__.split(".")[0]
+        rhs, hook = problem.rhs, problem.stage_hook
+        name = rhs.__qualname__.split(".")[0]
 
         def counted(t, y):
             start = len(rows)
             out = rhs(t, y)
-            per_pass.setdefault(name, set()).add(tuple(rows[start:]))
+            per_rhs.setdefault(name, set()).add(tuple(rows[start:]))
             return out
 
-        return solve_adaptive(dataclasses.replace(problem, rhs=counted), **kwargs)
+        def counted_hook(times):
+            start = len(rows)
+            hook(times)
+            per_hook.setdefault(name, []).append((len(times), tuple(rows[start:])))
+
+        sol = solve_adaptive(dataclasses.replace(
+            problem, rhs=counted, stage_hook=counted_hook if hook else None), **kwargs)
+        attempts.setdefault(name, []).append(sol.n_steps)
+        return sol
 
     monkeypatch.setattr(likelihood, "solve_adaptive", counting_solve)
     nll_first_order(score, sched, np.array([0.3, -0.2]), FdStencil(0.01),
                     tol_outer=1e-2, tol_inner=1e-3)
-    assert per_pass == {"_pf_with_div_rhs": {(5,)},           # zeroth order
-                        "_characteristic_rhs": {(21,)},       # backward
-                        "_error_bar_rhs": {(4, 13)}}          # error bar
-    per_pass.clear()
+    assert per_rhs == {"_pf_with_div_rhs": {(5,)},   # zeroth order, tight and loose
+                       "_characteristic_rhs": {()},  # backward
+                       "_error_bar_rhs": {()}}       # error bar
+    assert set(per_hook) == {"_characteristic_rhs", "_error_bar_rhs"}
+    for name, per_time in (("_characteristic_rhs", 21), ("_error_bar_rhs", 13)):
+        calls, (n_steps,) = per_hook[name], attempts[name]
+        assert n_steps > 1 and len(calls) == 2 + n_steps
+        assert calls[:2] == [(1, (per_time,))] * 2
+        assert set(calls[2:]) == {(5, (5 * per_time,))}
+    per_rhs.clear()
+    per_hook.clear()
+    rows.clear()
     nll_first_order(exact, sched, np.array([0.3, -0.2]), FdStencil(0.01),
                     tol_outer=1e-2, tol_inner=1e-3)
-    assert per_pass == {"_pf_with_div_rhs": {()}, "_characteristic_rhs": {()},
-                        "_error_bar_rhs": {()}}
+    assert per_rhs == {"_pf_with_div_rhs": {()}, "_characteristic_rhs": {()},
+                       "_error_bar_rhs": {()}}
+    assert {made for calls in per_hook.values() for _, made in calls} == {()}
+    assert rows == []
 
 
 def _scores(d):
@@ -404,8 +454,9 @@ def test_zeroth_order_rhs_matches_the_stencil_formula(kind, m):
         assert np.max(np.abs(got[m * d:] - want[m * d:])) <= 1e-14 * scale
 
 
-def _characteristic_rhs_einsum(score, schedule, dx):
-    """The backward right-hand side as first written, with the einsum."""
+def _characteristic_rhs_einsum(schedule, derivatives):
+    """The backward right-hand side as first written, with the einsum, on
+    the score derivatives ``derivatives(t, x)``."""
     d = schedule.dim
     eye = np.eye(d)
 
@@ -413,7 +464,7 @@ def _characteristic_rhs_einsum(score, schedule, dx):
         x, a, hess = z[:d], z[d: 2 * d], z[2 * d: 2 * d + d * d].reshape(d, d)
         alpha = schedule.drift_coef(t)
         gg = schedule.g2(t)
-        s, jac, hess_s, grad_div_s, hess_div_s = score_second_derivatives(score, x, t, dx)
+        s, jac, hess_s, grad_div_s, hess_div_s = derivatives(t, x)
         jac_pf = alpha * eye - 0.5 * gg * jac
         x_dot = alpha * x - 0.5 * gg * s
         a_dot = -jac_pf.T @ a + 0.5 * gg * grad_div_s
@@ -428,12 +479,31 @@ def _characteristic_rhs_einsum(score, schedule, dx):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["mlp", "analytic"])
 def test_characteristic_rhs_matches_the_einsum_formula(kind, d):
+    # the operator form of the (a, H, c) part, with x(t) read from the
+    # path, against the formula on the same derivatives: once from the stage
+    # table of one stacked call at all three times, and once from a table
+    # filled per call.  (A stacked network call rounds its rows apart from
+    # single-point calls, and stencils amplify that, so each form is
+    # compared with the formula on the derivatives it read.)
     sched, scores = _scores(d)
-    rhs = _characteristic_rhs(scores[kind], sched, 0.01)
-    ref = _characteristic_rhs_einsum(scores[kind], sched, 0.01)
+    score = scores[kind]
     rng = np.random.default_rng(d)
-    for t in (0.01, 0.4, 0.97):
-        z = rng.standard_normal(2 * d + d * d + 1)
-        got, want = rhs(t, z), ref(t, z)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    times = (0.01, 0.4, 0.97)
+    states = {t: rng.standard_normal(2 * d + d * d + 1) for t in times}
+
+    def path(ts):
+        return np.array([states[t][:d] for t in ts])
+
+    stacked_derivs = score_second_derivatives(score, path(times), np.array(times), 0.01)
+    forms = []
+    rhs, table = _characteristic_rhs(score, sched, 0.01, path)
+    table(times)
+    forms.append((rhs, lambda t, x: [o[times.index(t)] for o in stacked_derivs]))
+    rhs, _ = _characteristic_rhs(score, sched, 0.01, path)
+    forms.append((rhs, lambda t, x: score_second_derivatives(score, x, t, 0.01)))
+    for rhs, derivatives in forms:
+        ref = _characteristic_rhs_einsum(sched, derivatives)
+        for t, z in states.items():
+            got, want = rhs(t, z[d:]), ref(t, z)[d:]
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,16 @@ def test_dense_output_matches_every_accepted_state(t0, t1):
     np.testing.assert_array_equal(sol.dense(ts[0]), y0)
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, 3.0), (3.0, 0.0)])
+def test_dense_output_at_many_times_matches_a_call_per_time(t0, t1):
+    sol = solve_adaptive(OdeProblem(_oscillator, t0, t1, np.array([1.0, 0.0]), tol=1e-6),
+                         record_trace=True)
+    ts = np.concatenate([np.linspace(0.0, 3.0, 41), sol.dense.t_start,
+                         np.nextafter(sol.dense.t_start, 1.5)])
+    want = np.array([sol.dense(t) for t in ts])
+    np.testing.assert_allclose(sol.dense.at(ts), want, rtol=1e-14, atol=1e-14)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-9.0, -4.0), st.floats(0.2, 3.0), st.floats(0.5, 3.0), st.booleans())
 def test_dense_output_tracks_the_solution_between_steps(log_tol, rate, omega, backward):
@@ -201,10 +213,14 @@ def _pulse(t, y):
 
 
 def _characteristic_problem():
-    # the likelihood's backward (x, a, H, c) pass on an untrained network
+    # the likelihood's backward (a, H, c) pass on an untrained network, along
+    # a fixed curve x(t); with no stage hook its right-hand side scores each
+    # stage itself
     sched = Schedule(kind=ScheduleKind.COSINE, beta=20.0, t_min=0.01, t_max=0.99, dim=2)
-    rhs = likelihood._characteristic_rhs(MlpScore.create(dim=2, seed=3), sched, 0.01)
-    z = np.concatenate([[0.4, -0.3], [-0.4, 0.3], -np.eye(2).ravel(), [0.0]])
+    path = lambda ts: np.outer(1.0 - 0.5 * np.asarray(ts), [0.4, -0.3])
+    rhs, _ = likelihood._characteristic_rhs(MlpScore.create(dim=2, seed=3), sched, 0.01,
+                                            path)
+    z = np.concatenate([[-0.4, 0.3], -np.eye(2).ravel(), [0.0]])
     return OdeProblem(rhs, sched.t_max, sched.t_min, z, tol=1e-5)
 
 
@@ -250,3 +266,46 @@ def test_a_solve_from_zero_starts_at_the_heuristic_step(tol):
     assert got.n_steps < dopri5_reference.solve_adaptive(problem).n_steps
     exact = np.array([np.sin(3.0), -np.expm1(-3.0)])
     assert np.max(np.abs(got.y_final - exact)) <= tol
+
+
+def test_solution_counts_accepted_and_rejected_steps():
+    problem = _REFERENCE_PROBLEMS["pulse-forward"]()
+    got = solve_adaptive(problem)
+    want = dopri5_reference.solve_adaptive(problem, record_trace=True)
+    accepted = want.dense.t_start.size
+    assert got.n_accepted == accepted
+    assert got.n_rejected == want.n_steps - accepted > 0
+    assert got.n_steps == got.n_accepted + got.n_rejected
+
+
+def _pulse_rate(t):
+    return 1.0 + math.cos(7.0 * t) + 100.0 * math.exp(-((t - 0.5) / 0.02) ** 2)
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (1.0, 0.0)])
+def test_stage_hook_announces_every_time_the_rhs_then_sees(t0, t1):
+    # coefficients computed for each announcement and looked up by time
+    # give the steps and end state of a right-hand side that computes them
+    # itself, bit for bit; a time not in the latest announcement would
+    # raise KeyError
+    table, announced = {}, []
+
+    def hook(times):
+        announced.append(times)
+        table.clear()
+        table.update((t, _pulse_rate(t)) for t in times)
+
+    y0 = np.array([1.0, -2.0])
+    got = solve_adaptive(OdeProblem(lambda t, y: -table[t] * y, t0, t1, y0, tol=1e-7,
+                                    stage_hook=hook), record_trace=True)
+    want = solve_adaptive(OdeProblem(lambda t, y: -_pulse_rate(t) * y, t0, t1, y0,
+                                     tol=1e-7), record_trace=True)
+    assert got.y_final.tobytes() == want.y_final.tobytes()
+    assert (got.n_steps, got.n_rejected) == (want.n_steps, want.n_rejected)
+    assert got.n_rejected > 0
+    for field in ("t_start", "h", "q"):
+        assert getattr(got.dense, field).tobytes() == getattr(want.dense, field).tobytes()
+    # t0, the initial-step probe, then the five distinct times of each attempt
+    assert len(announced) == 2 + got.n_steps
+    assert announced[0] == (t0,) and len(announced[1]) == 1
+    assert all(len(times) == len(set(times)) == 5 for times in announced[2:])

@@ -66,6 +66,20 @@ def test_g2_is_minus_two_a(t):
         assert abs(sched.g2(t) + 2.0 * sched.drift_coef(t)) < 1e-10
 
 
+def test_half_g2_is_minus_the_drift_coefficient_bit_for_bit():
+    # every kind is variance preserving and halving is exact, so the
+    # likelihood's right-hand sides take g^2/2 as -drift_coef(t) and make
+    # one schedule call where they made two
+    pole = 1.0 - 1e-9
+    ts = np.concatenate([np.linspace(0.0, 0.999, 201), 1.0 - np.geomspace(1e-3, 2e-9, 40),
+                         [np.nextafter(pole, 0.0)]])
+    for sched in ALL:
+        assert (0.5 * sched.g2(ts)).tobytes() == (-sched.drift_coef(ts)).tobytes()
+        for t in ts.tolist():
+            assert np.float64(0.5 * sched.g2(t)).tobytes() == \
+                np.float64(-sched.drift_coef(t)).tobytes()
+
+
 def test_alpha_strictly_decreasing_on_window():
     for sched in ALL:
         ts = np.linspace(sched.t_min, sched.t_max - 1e-6, 100)

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -497,3 +498,48 @@ def test_divergence_with_one_time_per_point_matches_single_points():
         s_k, div_k = score_divergence(model, xs[k], float(ts[k]), dx)
         np.testing.assert_allclose(s[k], s_k[0], rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(div[k], div_k[0], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["quadratic", "analytic", "mlp"])
+def test_helpers_on_a_stack_match_each_point_at_its_own_time(kind, d):
+    # three points, each at its own time: one score call on every point of
+    # the three sweeps, and per point the outputs of a single-point call
+    # (to rounding: a network call rounds a stack's rows apart from a
+    # single point's, and the stencils amplify that)
+    dx = 0.05
+    model = {"quadratic": _QuadraticScore(d, seed=d),
+             "analytic": AnalyticGaussianScore(beta=1.3, v0=2.0, epsilon=0.3, dim=d),
+             "mlp": MlpScore.create(dim=d, seed=d)}[kind]
+    rows = []
+
+    def counted(x, t):
+        rows.append(np.shape(x)[0])
+        return model(x, t)
+
+    score = model if kind == "analytic" else counted
+    xs = np.linspace(-0.5, 0.7, 3 * d).reshape(3, d)
+    ts = np.array([0.1, 0.3, 0.8])
+    size = max(1.0, np.max(np.abs(model(xs + 2 * dx, 0.3))))
+    merged = functools.partial(score_div_derivatives, jacobian=True)
+    n_div = 2 * d * d + 2 * d + 1
+    # (helper, distinct points per sweep, order of each output)
+    for helper, n_points, orders in (
+            (score_divergence, 2 * d + 1, (0, 1)),
+            (score_jacobian, 2 * d, (1,)),
+            (score_div_derivatives, n_div, (1, 2, 3)),
+            (merged, n_div, (1, 1, 2, 3)),
+            (score_second_derivatives, {1: 5, 2: 21, 3: 57}[d], (0, 1, 2, 2, 3))):
+        rows.clear()
+        stacked = helper(score, xs, ts, dx)
+        assert rows == ([] if kind == "analytic" else [3 * n_points])
+        stacked = stacked if isinstance(stacked, tuple) else (stacked,)
+        assert len(stacked) == len(orders)
+        for i, (x, t) in enumerate(zip(xs, ts.tolist())):
+            single = helper(score, x, t, dx)
+            single = single if isinstance(single, tuple) else (single,)
+            if helper is score_divergence:  # a single point is a stack of one
+                single = tuple(o[0] for o in single)
+            for g, w, k in zip(stacked, single, orders):
+                assert np.shape(g[i]) == np.shape(w)
+                assert np.max(np.abs(g[i] - w)) <= 1e-9 * size / dx ** k
