@@ -43,6 +43,7 @@ from .schedule import Schedule
 from .score import checkpoint_load, checkpoint_save
 from .train import TrainConfig, train
 from .wasserstein import _MAX_POINTS as _W2_MAX_POINTS, w2_exact
+from .workers import map_jobs
 
 _ENV_SEED = "WKB_LAB_SEED"
 
@@ -289,8 +290,6 @@ def _w2_trial(job):
 
 
 def cmd_w2_sweep(args) -> int:
-    from concurrent.futures import ProcessPoolExecutor
-
     threads = _threads(args)
     model, trained_schedule = _load_checkpoint(args)
     cfg = load_config(args.config, trained_schedule)
@@ -304,19 +303,10 @@ def cmd_w2_sweep(args) -> int:
                           f"of an exact W2")
     schedule = cfg.make_schedule(model.dim)
     cloud = _make_dataset(cfg)
-    # w2_exact imports scipy.optimize on first use; importing it here, before
-    # the pool forks, lets every worker inherit it instead of importing it
-    # again.
-    import scipy.optimize  # noqa: F401
-
     hs = _parse_h_values(sw["h_values"])
     jobs = [(model, schedule, cloud.points, cfg.dataset["seed"], cfg.train["seed"], n, h,
              trial) for h in hs for trial in range(sw["trials"])]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            dists = list(pool.map(_w2_trial, jobs))
-    else:
-        dists = [_w2_trial(job) for job in jobs]
+    dists = map_jobs(_w2_trial, jobs, threads)
     rows = []
     for h, trials in zip(hs, np.reshape(dists, (len(hs), sw["trials"]))):
         stderr = trials.std(ddof=1) / np.sqrt(len(trials)) if len(trials) > 1 else 0.0

@@ -39,11 +39,7 @@ are exact in closed form; the ``stencil`` helpers return both.
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -57,6 +53,7 @@ from .schedule import Schedule
 # name because perfbench/tracing.py wraps it there
 from .stencil import (score_div_derivatives, score_divergence, score_jacobian,  # noqa: F401
                       score_second_derivatives)
+from .workers import map_jobs
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -343,7 +340,8 @@ def _error_bar_rhs(score, schedule: Schedule, stencil: FdStencil, path,
     """(rhs, stage table) of the error-bar state along x_ref(t) = ``path``,
     the trajectory of the zeroth-order solve.  The ``subtraction`` scheme
     also takes ``derivs``, the (tight, loose) pair of ``_logq_derivs`` of
-    the characteristic solves at tol_inner and at the stretched tolerance.
+    the characteristic solves along it at tol_inner and at the stretched
+    tolerance.
 
     Per attempt, the table takes J and the divergence derivatives at the
     stage points from one stacked sweep, and the local errors from them;
@@ -360,8 +358,7 @@ def _error_bar_rhs(score, schedule: Schedule, stencil: FdStencil, path,
         xs = path(ts)
         alpha = schedule.drift_coef(ts)
         half_gg = -alpha
-        jac, _, grad_div_s, lap_div_s = score_div_derivatives(score, xs, ts, dx,
-                                                              jacobian=True)
+        jac, _, grad_div_s, lap_div_s = score_div_derivatives(score, xs, ts, dx)
         if err_scheme == "model":
             local = local_err_model_from_derivs(grad_div_s, lap_div_s, dx,
                                                 logq_err=logq_err)
@@ -405,10 +402,10 @@ def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
     later passes score the derivatives once per step attempt, at all its
     stage times in one stacked call, and not once per stage.
     ``err_scheme`` picks the local-error estimator: "model" from score
-    derivatives, or "subtraction" from both passes rerun at
-    ``1.1 * tol_inner``.  The model scheme's solver floor is measured once
-    per point as the zeroth-order difference between solves at
-    ``tol_inner`` and ``1.1 * tol_inner``.
+    derivatives, or "subtraction" from a second backward solve along the
+    same x(t) at ``1.1 * tol_inner``.  The model scheme's solver floor is
+    measured once per point as the zeroth-order difference between solves
+    at ``tol_inner`` and ``1.1 * tol_inner``.
     """
     if err_scheme not in _ERR_SCHEMES:
         raise ValueError(f"unknown error scheme {err_scheme!r}")
@@ -425,8 +422,9 @@ def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
         loose = logq_pf(score, schedule, x0, schedule.t_min, 1.1 * tol_inner, stencil)
         logq_err = abs(loose - tight.log_q0)
     else:
-        loose = _characteristic(score, schedule, x0, 1.1 * tol_inner, stencil)
-        derivs = tight.logq_derivs(), loose.logq_derivs()
+        loose = _characteristic_solve(score, schedule, tight.path, tight.x_T,
+                                      1.1 * tol_inner, stencil)
+        derivs = tight.logq_derivs(), _logq_derivs(loose.dense, tight.path, d)
 
     rhs, table = _error_bar_rhs(score, schedule, stencil, tight.path, err_scheme,
                                 logq_err, derivs)
@@ -475,31 +473,6 @@ class NllSummary:
         return "point\tlog_q0\tcorrection1\terr_bound\tstatus", rows, footer
 
 
-# BLAS libraries read these as they load.  The stage tables' stacked score
-# calls (65 and 105 rows) are large enough for a BLAS to split across
-# threads, and with every core already running a worker process, two
-# threads per worker made a 2-worker dataset run on a 2-core host 7x
-# slower than single-threaded BLAS.
-_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                    "MKL_NUM_THREADS": "1"}
-
-
-@contextlib.contextmanager
-def _one_blas_thread_each():
-    """Pin BLAS to one thread in the worker processes spawned inside: they
-    inherit the environment, which is restored on exit."""
-    saved = {key: os.environ.get(key) for key in _ONE_BLAS_THREAD}
-    os.environ.update(_ONE_BLAS_THREAD)
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-
 def _point_job(args):
     score, schedule, x, stencil, tol_outer, tol_inner, err_scheme = args
     try:
@@ -517,7 +490,10 @@ def nll_dataset(score, schedule: Schedule, cloud, stencil: FdStencil | None = No
     Failed points (solver blow-ups, or anything else a point raises) are
     excluded and counted.  ``threads`` spreads points over spawned worker
     processes, each with single-threaded BLAS; results are independent of
-    the worker count.
+    the worker count.  With ``threads`` > 1, a calling script must guard
+    its entry point with ``if __name__ == "__main__":`` and the score must
+    be picklable by reference, its class defined in an importable module
+    or the script file (``workers.map_jobs``).
     """
     if err_scheme not in _ERR_SCHEMES:
         raise ValueError(f"unknown error scheme {err_scheme!r}")
@@ -526,12 +502,7 @@ def nll_dataset(score, schedule: Schedule, cloud, stencil: FdStencil | None = No
     pts = np.atleast_2d(np.asarray(getattr(cloud, "points", cloud), dtype=float))
     jobs = [(score, schedule, x, stencil, tol_outer, tol_inner, err_scheme)
             for x in pts]
-    if threads > 1:
-        with _one_blas_thread_each(), ProcessPoolExecutor(
-                max_workers=threads, mp_context=multiprocessing.get_context("spawn")) as pool:
-            reports = list(pool.map(_point_job, jobs, chunksize=1))
-    else:
-        reports = [_point_job(job) for job in jobs]
+    reports = map_jobs(_point_job, jobs, threads)
 
     ok = [r for r in reports if r is not None]
     n_failed = len(reports) - len(ok)

@@ -290,9 +290,8 @@ def score_jacobian(score, x: np.ndarray, t, dx: float) -> np.ndarray:
     return _derivatives(("jac",), score, x, t, dx)[0]
 
 
-def score_div_derivatives(score, x: np.ndarray, t, dx: float, jacobian: bool = False):
-    """(div s, grad(div s), laplacian(div s)) from one batched stencil sweep;
-    with ``jacobian``, J first and then those three, from the same sweep.
+def score_div_derivatives(score, x: np.ndarray, t, dx: float):
+    """(J, div s, grad(div s), laplacian(div s)) from one batched stencil sweep.
 
     grad and laplacian of the divergence are nested central differences: the
     divergence itself is evaluated at x and at the 2d axis offsets, which
@@ -300,10 +299,9 @@ def score_div_derivatives(score, x: np.ndarray, t, dx: float, jacobian: bool = F
     them the 2d axis points that J reads.  For one point the divergence and
     its Laplacian are floats.
     """
-    names = ("jac",) if jacobian else ()
-    out = _derivatives(names + ("div", "grad_div", "lap_div"), score, x, t, dx)
+    out = _derivatives(("jac", "div", "grad_div", "lap_div"), score, x, t, dx)
     if np.ndim(x) == 1:
-        out[-3], out[-1] = float(out[-3]), float(out[-1])
+        out[1], out[3] = float(out[1]), float(out[3])
     return tuple(out)
 
 

@@ -71,7 +71,7 @@ def nested_first_order_rhs(score, schedule, dx: float, tol_inner: float,
 
         s = score_batch(score, x[None, :], t)[0]
         jac = score_jacobian(score, x, t, dx)
-        div_s, grad_div_s, lap_div_s = score_div_derivatives(score, x, t, dx)
+        _, div_s, grad_div_s, lap_div_s = score_div_derivatives(score, x, t, dx)
 
         f_x = a * x - 0.5 * gg * s
         drive = s - grad_logq

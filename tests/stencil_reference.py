@@ -29,14 +29,15 @@ def score_jacobian(score, x, t, dx):
 
 
 def score_div_derivatives(score, x, t, dx):
-    """(div s, grad(div s), laplacian(div s)): the divergence at x and at
-    its 2d axis offsets, in one call of 2d(2d + 1) rows."""
+    """(J, div s, grad(div s), laplacian(div s)): J from its own call, and
+    the divergence at x and at its 2d axis offsets, in one call of
+    2d(2d + 1) rows."""
     centers = stencil.star(x, dx)
     n, d = centers.shape
     vals = _values(score, stencil.points(centers, dx).reshape(-1, d), t)
     divs = stencil.divergence(vals.reshape(n, 2 * d, d), dx)
-    return (float(divs[0]), stencil.gradient(divs[1:], dx),
-            float(stencil.laplacian(divs[0], divs[1:], dx)))
+    return (score_jacobian(score, x, t, dx), float(divs[0]),
+            stencil.gradient(divs[1:], dx), float(stencil.laplacian(divs[0], divs[1:], dx)))
 
 
 def score_second_derivatives(score, x, t, dx):

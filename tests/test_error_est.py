@@ -41,7 +41,7 @@ def test_model_scaling_with_dx():
 def test_model_scheme_on_linear_score_reduces_to_floor():
     # the analytic score is linear in x, so its divergence derivatives vanish
     _, sched, score = pipeline(0.3)
-    _, grad_div_s, lap_div_s = score_div_derivatives(score, np.array([0.2, -0.1]),
+    _, _, grad_div_s, lap_div_s = score_div_derivatives(score, np.array([0.2, -0.1]),
                                                      0.5, dx=0.01)
     err = local_err_model_from_derivs(grad_div_s, lap_div_s, dx=0.01, logq_err=1e-5)
     np.testing.assert_allclose(err.grad_err, 1e-3, rtol=1e-6)

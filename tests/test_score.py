@@ -1,4 +1,3 @@
-import functools
 import warnings
 
 import numpy as np
@@ -260,7 +259,7 @@ def test_stencil_derivatives_exact_on_linear_score():
     assert div == pytest.approx(2 * coef, rel=1e-12)
     np.testing.assert_allclose(score_jacobian(score, x, t, dx=0.05),
                                coef * np.eye(2), atol=1e-12)
-    div, grad_div, lap_div = score_div_derivatives(score, x, t, dx=0.05)
+    _, div, grad_div, lap_div = score_div_derivatives(score, x, t, dx=0.05)
     assert div == pytest.approx(2 * coef, rel=1e-12)
     np.testing.assert_allclose(grad_div, 0.0, atol=1e-10)
     assert lap_div == pytest.approx(0.0, abs=1e-8)
@@ -298,7 +297,7 @@ def test_second_derivatives_exact_on_quadratic_score(d):
     # the first-derivative values agree with the per-call helpers, which
     # also score each distinct point of their sweeps once
     np.testing.assert_allclose(jac, score_jacobian(score, x, 0.3, dx=0.05), atol=1e-12)
-    np.testing.assert_allclose(grad_div, score_div_derivatives(score, x, 0.3, dx=0.05)[1],
+    np.testing.assert_allclose(grad_div, score_div_derivatives(score, x, 0.3, dx=0.05)[2],
                                atol=1e-8)
     assert score.rows[-2:] == [2 * d, 2 * d * d + 2 * d + 1]
     # the star: 2d + 1 rows per point, for one point and for a stack
@@ -332,7 +331,7 @@ def test_helpers_score_their_points_in_the_order_they_read_them(d):
 # (order of each output: the number of dx it is divided by)
 _HELPERS = [(score_divergence, stencil_reference.score_divergence, (0, 1)),
             (score_jacobian, stencil_reference.score_jacobian, (1,)),
-            (score_div_derivatives, stencil_reference.score_div_derivatives, (1, 2, 3)),
+            (score_div_derivatives, stencil_reference.score_div_derivatives, (1, 1, 2, 3)),
             (score_second_derivatives, stencil_reference.score_second_derivatives,
              (0, 1, 2, 2, 3))]
 
@@ -463,10 +462,10 @@ def test_linear_score_derivatives_are_closed_form(d, monkeypatch):
     assert calls == []
     for g, w in zip(got, stencil_path):
         _assert_same_types_and_shapes(g, w)
-    (s_star, div), jac, (div_n, grad_div, lap_div), second = got
+    (s_star, div), jac, (jac_d, div_n, grad_div, lap_div), second = got
     s_c, jac_c, hess_s, grad_div_c, hess_div = second
     assert s_star.tobytes() == s.tobytes() and s_c.tobytes() == s[0].tobytes()
-    for j in (jac, jac_c):
+    for j in (jac, jac_d, jac_c):
         assert np.array_equal(j, slope * np.eye(d))
     assert div.tolist() == [d * slope] and div_n == d * slope
     assert lap_div == 0.0
@@ -521,14 +520,12 @@ def test_helpers_on_a_stack_match_each_point_at_its_own_time(kind, d):
     xs = np.linspace(-0.5, 0.7, 3 * d).reshape(3, d)
     ts = np.array([0.1, 0.3, 0.8])
     size = max(1.0, np.max(np.abs(model(xs + 2 * dx, 0.3))))
-    merged = functools.partial(score_div_derivatives, jacobian=True)
     n_div = 2 * d * d + 2 * d + 1
     # (helper, distinct points per sweep, order of each output)
     for helper, n_points, orders in (
             (score_divergence, 2 * d + 1, (0, 1)),
             (score_jacobian, 2 * d, (1,)),
-            (score_div_derivatives, n_div, (1, 2, 3)),
-            (merged, n_div, (1, 1, 2, 3)),
+            (score_div_derivatives, n_div, (1, 1, 2, 3)),
             (score_second_derivatives, {1: 5, 2: 21, 3: 57}[d], (0, 1, 2, 2, 3))):
         rows.clear()
         stacked = helper(score, xs, ts, dx)
