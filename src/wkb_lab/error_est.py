@@ -1,6 +1,7 @@
 """Local numerical-error estimators for grad log q0 and its Laplacian.
 The error-bar pass in ``likelihood`` propagates them, along the trajectory
-of the backward characteristic solve, to a bound on the correction.
+x(t) of the zeroth-order solve, to a bound on the correction.  Every
+estimator works on stacks: one row per stage point of a step attempt.
 
 Two local schemes:
 
@@ -9,8 +10,9 @@ Two local schemes:
   the unavailable log-density derivatives; the zeroth-order solver's error
   floor enters as logq_err / dx (gradient) and logq_err / dx^2 (Laplacian),
   a term sized for stencils over solves that ROADMAP item 3 retires.
-* ``subtraction``: rerun the backward characteristic solve with its
-  tolerance stretched by 1.1 and take the absolute differences.
+* ``subtraction``: rerun only the backward characteristic solve, along
+  the same x(t), with its tolerance stretched by 1.1, and take the
+  absolute differences.
 
 The propagation integrates, from t_min to t_max at ``tol_outer``, the
 conservative system
@@ -33,11 +35,11 @@ import numpy as np
 
 @dataclass
 class LocalErr:
-    """Local error bounds at one point, or stacked over several points:
-    ``grad_err`` (d,) or (m, d), ``lap_err`` a float or (m,)."""
+    """Local error bounds stacked over m points: ``grad_err`` (m, d) and
+    ``lap_err`` (m,)."""
 
     grad_err: np.ndarray  # componentwise bound on the gradient stencil error
-    lap_err: float | np.ndarray  # bound on the Laplacian stencil error
+    lap_err: np.ndarray  # bound on the Laplacian stencil error
 
     def __post_init__(self):
         self.grad_err = np.asarray(self.grad_err, dtype=float)
@@ -49,19 +51,15 @@ class LocalErr:
 
 def local_err_model_from_derivs(grad_div_s: np.ndarray, lap_div_s,
                                 dx: float, logq_err: float) -> LocalErr:
-    """The model bounds from grad(div s) and laplacian(div s), at one point
-    or stacked over several."""
+    """The model bounds from grad(div s) (m, d) and laplacian(div s) (m,)."""
     floor = abs(logq_err)
-    grad = np.abs(grad_div_s) * dx ** 2 + floor / dx
-    lap = np.abs(lap_div_s) * dx ** 2 + floor / dx ** 2
-    return LocalErr(grad_err=grad, lap_err=lap if np.ndim(lap) else float(lap))
+    return LocalErr(grad_err=np.abs(grad_div_s) * dx ** 2 + floor / dx,
+                    lap_err=np.abs(lap_div_s) * dx ** 2 + floor / dx ** 2)
 
 
 def local_err_subtraction_from_values(tight, loose) -> LocalErr:
-    """Errors of grad log q0 and its Laplacian from paired (gradient,
-    Laplacian) values of the same point, or of a stack of points, solved at
-    a tolerance and at the tolerance stretched by 1.1."""
+    """Errors of grad log q0 and its Laplacian from paired (gradient (m, d),
+    Laplacian (m,)) values of the same stack of points, solved at a
+    tolerance and at the tolerance stretched by 1.1."""
     (grad_t, lap_t), (grad_l, lap_l) = tight, loose
-    lap = np.abs(np.subtract(lap_l, lap_t))
-    return LocalErr(grad_err=np.abs(np.asarray(grad_l, dtype=float) - grad_t),
-                    lap_err=lap if np.ndim(lap) else float(lap))
+    return LocalErr(grad_err=np.abs(grad_l - grad_t), lap_err=np.abs(lap_l - lap_t))

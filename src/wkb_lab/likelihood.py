@@ -149,9 +149,8 @@ class _StageTable:
     ``make(ts)`` computes them in one stacked evaluation at an array of
     times and yields one entry per time.  The solver's stage hook (this
     object called with the times) fills the table once per attempt, and
-    the right-hand side reads its time's entry with ``at``.  A time that
-    no hook announced, as under a solver that calls none, gets a table of
-    its own, so the right-hand side also works without the hook.
+    the right-hand side reads its time's entry with ``at``; a time that the
+    latest announcement did not hold raises KeyError.
     """
 
     def __init__(self, make):
@@ -162,11 +161,7 @@ class _StageTable:
         self._rows = dict(zip(times, self._make(np.array(times))))
 
     def at(self, t: float):
-        row = self._rows.get(t)
-        if row is None:
-            self((t,))
-            row = self._rows[t]
-        return row
+        return self._rows[t]
 
 
 # -- grad log q0, its Hessian and the first-order coefficient along the flow ----
@@ -268,20 +263,16 @@ def _characteristic_solve(score, schedule: Schedule, path, x_T: np.ndarray, tol:
 
 
 def _logq_derivs(back: DenseOutput, path, d: int):
-    """``derivs(t, x) -> (grad log q0_t(x), laplacian log q0_t(x))`` for x
-    near x_ref(t) = ``path``, from the ``dense`` output of the
-    characteristic solve along it: the first-order expansion
-    a + H (x - x_ref), and tr H.  ``t`` is a float and x (d,), or ``t``
-    holds k times and x is (k, d)."""
+    """``derivs(ts, xs) -> (grad log q0_t(x), laplacian log q0_t(x))`` at k
+    times and points (k, d) near x_ref(t) = ``path``, from the ``dense``
+    output of the characteristic solve along it: the first-order expansion
+    a + H (x - x_ref), and tr H, stacked (k, d) and (k,)."""
 
-    def derivs(t, x):
-        ts = np.atleast_1d(t)
+    def derivs(ts, xs):
         z = back.at(ts)
         hess = z[:, d: d + d * d].reshape(-1, d, d)
-        step = np.reshape(x, (-1, d)) - path(ts)
-        grad = z[:, :d] + np.einsum("kij,kj->ki", hess, step)
-        lap = np.trace(hess, axis1=1, axis2=2)
-        return (grad, lap) if np.ndim(t) else (grad[0], float(lap[0]))
+        grad = z[:, :d] + np.einsum("kij,kj->ki", hess, xs - path(ts))
+        return grad, np.trace(hess, axis1=1, axis2=2)
 
     return derivs
 
@@ -295,9 +286,6 @@ class _Characteristic(NamedTuple):
     x_T: np.ndarray
     path: Callable
     back: OdeSolution
-
-    def logq_derivs(self):
-        return _logq_derivs(self.back.dense, self.path, self.x_T.size)
 
 
 def _characteristic(score, schedule: Schedule, x0: np.ndarray, tol: float,
@@ -332,7 +320,10 @@ class OuterState(NamedTuple):
         return cls(y[:-1], float(y[-1]))
 
     def err_bound(self, x_T: np.ndarray) -> float:
-        return float(self.err1 @ np.abs(prior_grad(x_T))) + abs(self.err2)
+        # err1 starts at 0 and grows at nonnegative rates; a negative end
+        # value is rounding from DOPRI5's negative weight, so it counts as 0
+        err1 = np.maximum(self.err1, 0.0)
+        return float(err1 @ np.abs(prior_grad(x_T))) + abs(self.err2)
 
 
 def _error_bar_rhs(score, schedule: Schedule, stencil: FdStencil, path,
@@ -424,7 +415,8 @@ def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
     else:
         loose = _characteristic_solve(score, schedule, tight.path, tight.x_T,
                                       1.1 * tol_inner, stencil)
-        derivs = tight.logq_derivs(), _logq_derivs(loose.dense, tight.path, d)
+        derivs = (_logq_derivs(tight.back.dense, tight.path, d),
+                  _logq_derivs(loose.dense, tight.path, d))
 
     rhs, table = _error_bar_rhs(score, schedule, stencil, tight.path, err_scheme,
                                 logq_err, derivs)

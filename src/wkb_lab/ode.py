@@ -19,7 +19,6 @@ changes no step or its arithmetic.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -116,26 +115,13 @@ class DenseOutput:
         self.q = np.asarray(q, dtype=float)
         # breakpoints in increasing order, whichever way the solve ran
         self._forward = bool(self.h[0] > 0.0)
-        self._break_array = self.t_start[1:] if self._forward else self.t_start[:0:-1]
-        self._breaks = self._break_array.tolist()
-        # per-step rows, so that a call indexes lists and not arrays
-        self._steps = list(zip(self.t_start.tolist(), self.h.tolist(), self.y_start,
-                               self.q))
-
-    def __call__(self, t: float) -> np.ndarray:
-        i = bisect.bisect_right(self._breaks, t)
-        if not self._forward:
-            i = len(self._steps) - 1 - i
-        t_start, h, y_start, q = self._steps[i]
-        theta = (t - t_start) / h
-        return y_start + h * q.dot(theta ** _POWERS)
+        self._breaks = self.t_start[1:] if self._forward else self.t_start[:0:-1]
 
     def at(self, ts) -> np.ndarray:
-        """``y`` at each of a sequence of times, stacked (k, len(y)): the
-        interpolant of a call per time, evaluated in one pass (its products
-        may round apart from a call's)."""
+        """``y`` at each of a sequence of times, stacked (k, len(y)), in one
+        pass over the steps the times fall in."""
         ts = np.asarray(ts, dtype=float)
-        i = np.searchsorted(self._break_array, ts, side="right")
+        i = np.searchsorted(self._breaks, ts, side="right")
         if not self._forward:
             i = self.h.size - 1 - i
         h = self.h[i]

@@ -28,11 +28,11 @@ the operator rows of its outputs, merges the sweep rows that land on one
 point (x + dx e_1 - dx e_1 is x), and scores those points in one call.
 The linear analytic score s = slope(t) x is the exception: the helpers
 return its exact derivatives (J = slope I, div s = d slope, every higher
-derivative 0) and make no score call.  Every helper takes one point (d,)
-or a stack of points (m, d), with one time for all of them or an (m,)
-array of one time per point, and stacks a stack's outputs along a leading
-axis, so that a caller that knows several points in advance (the stage
-points of an ODE step attempt) scores them all in one call.
+derivative 0) and make no score call.  Every helper takes a stack of
+points (m, d), with one time for all of them or an (m,) array of one time
+per point, and stacks its outputs along a leading axis of length m, so
+that a caller that knows several points in advance (the stage points of
+an ODE step attempt) scores them all in one call.
 """
 
 from __future__ import annotations
@@ -214,25 +214,22 @@ def _sweep(outputs: tuple, d: int, dx: float):
                                      [shape for _, _, shape in picked]))
 
 
-def _derivatives(outputs: tuple, score, x, t, dx: float) -> list:
-    """The named outputs of the sweep around x, or around each point of a
-    stack (m, d) with the outputs stacked along a leading axis: one score
-    call on the distinct points they read and one matrix product.  ``t`` is
-    one time for every point, or one per point.  The linear analytic score
-    gets its exact derivatives instead, with no score call."""
-    x = np.asarray(x, dtype=float)
-    xs = x if x.ndim == 2 else x[None, :]
+def _derivatives(outputs: tuple, score, xs, t, dx: float) -> list:
+    """The named outputs of the sweep around each point of a stack (m, d),
+    stacked along a leading axis: one score call on the distinct points
+    they read and one matrix product.  ``t`` is one time for every point,
+    or one per point.  The linear analytic score gets its exact
+    derivatives instead, with no score call."""
+    xs = np.asarray(xs, dtype=float)
     m, d = xs.shape
     if isinstance(score, AnalyticGaussianScore):
-        out = _linear_derivatives(outputs, score.slope(t), xs)
-    else:
-        offsets, operator, parts = _sweep(outputs, d, dx)
-        if isinstance(t, np.ndarray) and t.ndim:  # each point's time on its rows
-            t = np.repeat(t, offsets.shape[0])
-        vals = score_batch(score, (xs[:, None, :] + offsets).reshape(-1, d), t)
-        flat = vals.reshape(m, -1).dot(operator.T)
-        out = [flat[:, lo:hi].reshape((m,) + shape) for lo, hi, shape in parts]
-    return out if x.ndim == 2 else [o[0] for o in out]
+        return _linear_derivatives(outputs, score.slope(t), xs)
+    offsets, operator, parts = _sweep(outputs, d, dx)
+    if isinstance(t, np.ndarray) and t.ndim:  # each point's time on its rows
+        t = np.repeat(t, offsets.shape[0])
+    vals = score_batch(score, (xs[:, None, :] + offsets).reshape(-1, d), t)
+    flat = vals.reshape(m, -1).dot(operator.T)
+    return [flat[:, lo:hi].reshape((m,) + shape) for lo, hi, shape in parts]
 
 
 def _linear_derivatives(outputs: tuple, slope, xs: np.ndarray) -> list:
@@ -266,27 +263,13 @@ def score_batch(score, xs: np.ndarray, t) -> np.ndarray:
 
 def score_divergence(score, xs: np.ndarray, t, dx: float):
     """(s, div s) at each of a stack of points, from one call on their stars
-    (2d + 1 rows per point) and one matrix product: (m, d) -> (m, d), (m,);
-    a single point (d,) is a stack of one.  ``t`` is one time for every
-    point, or one per point."""
-    xs = np.asarray(xs, dtype=float)
-    d = xs.shape[-1]
-    if isinstance(score, AnalyticGaussianScore):
-        xs = np.atleast_2d(xs)
-        slope = score.slope(t)
-        div = np.empty(xs.shape[0])
-        div[:] = np.ravel(d * slope)
-        return slope * xs, div
-    offsets, operator, _ = _sweep(("s", "div"), d, dx)
-    if isinstance(t, np.ndarray) and t.ndim:  # each point's time on its star's rows
-        t = np.repeat(t, offsets.shape[0])
-    vals = score_batch(score, (xs[..., None, :] + offsets).reshape(-1, d), t)
-    out = vals.reshape(-1, offsets.size).dot(operator.T)
-    return out[:, :d], out[:, d]
+    (2d + 1 rows per point): (m, d) -> (m, d), (m,)."""
+    return tuple(_derivatives(("s", "div"), score, xs, t, dx))
 
 
 def score_jacobian(score, x: np.ndarray, t, dx: float) -> np.ndarray:
-    """J[i, j] = d s_i / d x_j by central differences (2d rows per point)."""
+    """J[i, j] = d s_i / d x_j by central differences (2d rows per point):
+    (m, d) -> (m, d, d)."""
     return _derivatives(("jac",), score, x, t, dx)[0]
 
 
@@ -296,13 +279,9 @@ def score_div_derivatives(score, x: np.ndarray, t, dx: float):
     grad and laplacian of the divergence are nested central differences: the
     divergence itself is evaluated at x and at the 2d axis offsets, which
     takes the score at 2d^2 + 2d + 1 distinct points (13 in 2-D), among
-    them the 2d axis points that J reads.  For one point the divergence and
-    its Laplacian are floats.
+    them the 2d axis points that J reads.
     """
-    out = _derivatives(("jac", "div", "grad_div", "lap_div"), score, x, t, dx)
-    if np.ndim(x) == 1:
-        out[1], out[3] = float(out[1]), float(out[3])
-    return tuple(out)
+    return tuple(_derivatives(("jac", "div", "grad_div", "lap_div"), score, x, t, dx))
 
 
 def score_second_derivatives(score, x: np.ndarray, t, dx: float):

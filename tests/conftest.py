@@ -10,7 +10,7 @@ import pytest
 import wkb_lab
 from wkb_lab.data import DATASETS
 from wkb_lab.gaussian_oracle import GaussianModel
-from wkb_lab.likelihood import FdStencil, _characteristic
+from wkb_lab.likelihood import FdStencil, _characteristic, _logq_derivs
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.score import checkpoint_load, checkpoint_save
 from wkb_lab.train import TrainConfig, train
@@ -40,8 +40,10 @@ def characteristic(score, schedule: Schedule, x0, dx: float, tol: float):
 
 
 def logq_characteristic(score, schedule: Schedule, x0, dx: float, tol: float):
-    """grad log q0_t and its Laplacian along the flow from x0 at t_min."""
-    return characteristic(score, schedule, x0, dx, tol).logq_derivs()
+    """grad log q0_t and its Laplacian along the flow from x0 at t_min:
+    ``derivs(ts, xs)`` at k times and points (k, d)."""
+    c = characteristic(score, schedule, x0, dx, tol)
+    return _logq_derivs(c.back.dense, c.path, c.x_T.size)
 
 
 def make_dataset(name: str, n: int, seed: int = DATA_SEED):

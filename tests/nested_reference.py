@@ -70,8 +70,9 @@ def nested_first_order_rhs(score, schedule, dx: float, tol_inner: float,
         lap_logq = float(laplacian(logq5[0], logq5[1:], dx))
 
         s = score_batch(score, x[None, :], t)[0]
-        jac = score_jacobian(score, x, t, dx)
-        _, div_s, grad_div_s, lap_div_s = score_div_derivatives(score, x, t, dx)
+        jac = score_jacobian(score, x[None, :], t, dx)[0]
+        _, div_s, grad_div_s, lap_div_s = (
+            o[0] for o in score_div_derivatives(score, x[None, :], t, dx))
 
         f_x = a * x - 0.5 * gg * s
         drive = s - grad_logq

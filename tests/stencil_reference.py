@@ -36,8 +36,8 @@ def score_div_derivatives(score, x, t, dx):
     n, d = centers.shape
     vals = _values(score, stencil.points(centers, dx).reshape(-1, d), t)
     divs = stencil.divergence(vals.reshape(n, 2 * d, d), dx)
-    return (score_jacobian(score, x, t, dx), float(divs[0]),
-            stencil.gradient(divs[1:], dx), float(stencil.laplacian(divs[0], divs[1:], dx)))
+    return (score_jacobian(score, x, t, dx), divs[0],
+            stencil.gradient(divs[1:], dx), stencil.laplacian(divs[0], divs[1:], dx))
 
 
 def score_second_derivatives(score, x, t, dx):

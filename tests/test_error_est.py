@@ -4,7 +4,8 @@ import pytest
 from conftest import ORACLE_T_MIN, characteristic, logq_characteristic, oracle_model
 from wkb_lab.error_est import (LocalErr, local_err_model_from_derivs,
                                local_err_subtraction_from_values)
-from wkb_lab.likelihood import FdStencil, OuterState, _error_bar_rhs, nll_first_order
+from wkb_lab.likelihood import (FdStencil, OuterState, _error_bar_rhs, _logq_derivs,
+                                 nll_first_order)
 from wkb_lab.ode import OdeProblem, solve_adaptive
 from wkb_lab.stencil import score_div_derivatives
 
@@ -15,20 +16,20 @@ def pipeline(eps: float):
 
 
 def test_subtraction_zero_when_values_agree():
-    vals = (np.array([20.0, 10.0]), -3.0)  # (gradient, Laplacian)
+    vals = (np.array([[20.0, 10.0]]), np.array([-3.0]))  # (gradient, Laplacian)
     err = local_err_subtraction_from_values(vals, vals)
     np.testing.assert_array_equal(err.grad_err, 0.0)
     assert err.lap_err == 0.0
 
 
 def test_model_floor_arithmetic():
-    err = local_err_model_from_derivs(np.zeros(2), 0.0, dx=0.01, logq_err=1e-5)
+    err = local_err_model_from_derivs(np.zeros((1, 2)), np.zeros(1), dx=0.01, logq_err=1e-5)
     np.testing.assert_allclose(err.grad_err, 1e-3)
     assert err.lap_err == pytest.approx(1e-1)
 
 
 def test_model_scaling_with_dx():
-    grad_div, lap_div = np.array([2.0, -1.0]), 3.0
+    grad_div, lap_div = np.array([[2.0, -1.0]]), np.array([3.0])
     small = local_err_model_from_derivs(grad_div, lap_div, dx=0.01, logq_err=1e-5)
     big = local_err_model_from_derivs(grad_div, lap_div, dx=0.02, logq_err=1e-5)
     # dx^2 terms quadruple, the 1/dx^2 floor quarters
@@ -41,8 +42,8 @@ def test_model_scaling_with_dx():
 def test_model_scheme_on_linear_score_reduces_to_floor():
     # the analytic score is linear in x, so its divergence derivatives vanish
     _, sched, score = pipeline(0.3)
-    _, _, grad_div_s, lap_div_s = score_div_derivatives(score, np.array([0.2, -0.1]),
-                                                     0.5, dx=0.01)
+    _, _, grad_div_s, lap_div_s = (
+        o[0] for o in score_div_derivatives(score, np.array([[0.2, -0.1]]), 0.5, dx=0.01))
     err = local_err_model_from_derivs(grad_div_s, lap_div_s, dx=0.01, logq_err=1e-5)
     np.testing.assert_allclose(err.grad_err, 1e-3, rtol=1e-6)
     assert err.lap_err == pytest.approx(1e-1, rel=1e-6)
@@ -51,8 +52,8 @@ def test_model_scheme_on_linear_score_reduces_to_floor():
 def test_subtraction_scheme_bounds_small_on_analytic_case():
     _, sched, score = pipeline(0.3)
     x = np.array([0.1, 0.0])
-    tight, loose = (logq_characteristic(score, sched, x, 0.01, tol)(sched.t_min, x)
-                    for tol in (1e-5, 1.1 * 1e-5))
+    tight, loose = (logq_characteristic(score, sched, x, 0.01, tol)(
+                        np.array([sched.t_min]), x[None, :]) for tol in (1e-5, 1.1 * 1e-5))
     err = local_err_subtraction_from_values(tight, loose)
     assert np.all(err.grad_err < 1e-2)
     assert err.lap_err < 1e-2
@@ -60,14 +61,14 @@ def test_subtraction_scheme_bounds_small_on_analytic_case():
 
 def test_local_err_rejects_negative():
     with pytest.raises(ValueError):
-        LocalErr(grad_err=np.array([-1.0, 0.0]), lap_err=0.0)
+        LocalErr(grad_err=np.array([[-1.0, 0.0]]), lap_err=np.zeros(1))
 
 
 def test_zero_local_errors_give_zero_bound():
     # the subtraction scheme against its own characteristic has zero local error
     _, sched, score = pipeline(0.3)
     tight = characteristic(score, sched, np.array([0.1, 0.0]), 0.05, 1e-6)
-    derivs = tight.logq_derivs()
+    derivs = _logq_derivs(tight.back.dense, tight.path, 2)
     rhs, table = _error_bar_rhs(score, sched, FdStencil(0.05), tight.path, "subtraction",
                                 derivs=(derivs, derivs))
     sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, np.zeros(3), tol=1e-4,

@@ -239,9 +239,9 @@ def test_characteristic_matches_oracle_along_the_flow():
                           record_trace=True).dense
     for t in np.linspace(sched.t_min, sched.t_max, 25):
         vp = model.vprime_t(0.0, t)
-        x_t = flow(t)[:2]
+        x_t = flow.at([t])[0, :2]
         for x in (x_t, x_t + np.array([0.01, -0.02])):
-            grad, lap = logq_derivs(t, x)
+            grad, lap = (o[0] for o in logq_derivs(np.array([t]), x[None, :]))
             np.testing.assert_allclose(grad, -x / vp, rtol=1e-5, atol=1e-8)
             assert lap == pytest.approx(-2.0 / vp, rel=1e-5)
 
@@ -252,6 +252,28 @@ def test_outer_state_names_the_layout():
     np.testing.assert_array_equal(state.err1, [0.0, 1.0])
     assert state.err2 == 2.0
     assert state.err_bound(np.array([3.0, -4.0])) == pytest.approx(0 * 3 + 1 * 4 + 2.0)
+
+
+def test_err_bound_counts_a_rounded_negative_err1_as_zero():
+    # err1 starts at 0 and grows at nonnegative rates, but DOPRI5's negative
+    # weight -2187/6784 can end a tiny component just below 0; the bound
+    # must not go negative with it
+    state = OuterState.of(np.array([-3.7e-7, 2e-9, 0.0]))
+    assert state.err_bound(np.array([1.0, -4.0])) == 4 * 2e-9
+
+
+def test_stage_table_answers_only_the_announced_times():
+    # a right-hand side reads only the times its solver's hook announced;
+    # any other time is a broken contract, not a time to score on the spot
+    table = likelihood._StageTable(lambda ts: (2.0 * ts).tolist())
+    table((0.1, 0.3))
+    assert table.at(0.3) == 0.6
+    with pytest.raises(KeyError):
+        table.at(0.2)
+    table((0.2,))  # the next attempt's times replace the last
+    assert table.at(0.2) == 0.4
+    with pytest.raises(KeyError):
+        table.at(0.1)
 
 
 def _assert_within_nested_bound(score, sched, points):
@@ -499,8 +521,14 @@ def test_characteristic_rhs_matches_the_einsum_formula(kind, d):
     rhs, table = _characteristic_rhs(score, sched, 0.01, path)
     table(times)
     forms.append((rhs, lambda t, x: [o[times.index(t)] for o in stacked_derivs]))
-    rhs, _ = _characteristic_rhs(score, sched, 0.01, path)
-    forms.append((rhs, lambda t, x: score_second_derivatives(score, x, t, 0.01)))
+    rhs, table = _characteristic_rhs(score, sched, 0.01, path)
+
+    def per_call(t, z, rhs=rhs, table=table):  # announces each time itself
+        table((t,))
+        return rhs(t, z)
+
+    forms.append((per_call, lambda t, x: [
+        o[0] for o in score_second_derivatives(score, x[None, :], t, 0.01)]))
     for rhs, derivatives in forms:
         ref = _characteristic_rhs_einsum(sched, derivatives)
         for t, z in states.items():

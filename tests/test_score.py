@@ -251,15 +251,24 @@ def test_adam_deterministic():
     np.testing.assert_array_equal(run(), run())
 
 
+def _at(helper, score, x, t, dx):
+    """``helper`` at the one point x, as a stack of one with each output
+    indexed [0]; ``score_divergence``'s outputs stay a stack of one."""
+    out = helper(score, x[None, :], t, dx)
+    if helper is score_divergence:
+        return out
+    return tuple(o[0] for o in out) if isinstance(out, tuple) else out[0]
+
+
 def test_stencil_derivatives_exact_on_linear_score():
     score = AnalyticGaussianScore(beta=1.0, v0=2.0, epsilon=0.3, dim=2)
     t, x = 0.4, np.array([0.7, -0.2])
     coef = -(1.3) / score.v_t(t)
     div = stencil.divergence(score(stencil.points(x, 0.05), t), 0.05)
     assert div == pytest.approx(2 * coef, rel=1e-12)
-    np.testing.assert_allclose(score_jacobian(score, x, t, dx=0.05),
+    np.testing.assert_allclose(_at(score_jacobian, score, x, t, 0.05),
                                coef * np.eye(2), atol=1e-12)
-    _, div, grad_div, lap_div = score_div_derivatives(score, x, t, dx=0.05)
+    _, div, grad_div, lap_div = _at(score_div_derivatives, score, x, t, 0.05)
     assert div == pytest.approx(2 * coef, rel=1e-12)
     np.testing.assert_allclose(grad_div, 0.0, atol=1e-10)
     assert lap_div == pytest.approx(0.0, abs=1e-8)
@@ -285,7 +294,7 @@ class _QuadraticScore:
 def test_second_derivatives_exact_on_quadratic_score(d):
     score = _QuadraticScore(d, seed=d)
     x = np.linspace(-0.5, 0.7, d)
-    s, jac, hess_s, grad_div, hess_div = score_second_derivatives(score, x, 0.3, dx=0.05)
+    s, jac, hess_s, grad_div, hess_div = _at(score_second_derivatives, score, x, 0.3, 0.05)
     # one call on the distinct points of the (2d^2 + 1)(2d + 1) stencil rows
     assert score.rows == [{1: 5, 2: 21, 3: 57}[d]]
     np.testing.assert_allclose(s, score(x, 0.3)[0], atol=1e-12)
@@ -296,12 +305,12 @@ def test_second_derivatives_exact_on_quadratic_score(d):
     np.testing.assert_allclose(hess_div, 0.0, atol=1e-5)
     # the first-derivative values agree with the per-call helpers, which
     # also score each distinct point of their sweeps once
-    np.testing.assert_allclose(jac, score_jacobian(score, x, 0.3, dx=0.05), atol=1e-12)
-    np.testing.assert_allclose(grad_div, score_div_derivatives(score, x, 0.3, dx=0.05)[2],
+    np.testing.assert_allclose(jac, _at(score_jacobian, score, x, 0.3, 0.05), atol=1e-12)
+    np.testing.assert_allclose(grad_div, _at(score_div_derivatives, score, x, 0.3, 0.05)[2],
                                atol=1e-8)
     assert score.rows[-2:] == [2 * d, 2 * d * d + 2 * d + 1]
     # the star: 2d + 1 rows per point, for one point and for a stack
-    s_star, div = score_divergence(score, x, 0.3, dx=0.05)
+    s_star, div = _at(score_divergence, score, x, 0.3, 0.05)
     np.testing.assert_allclose(s_star[0], s, atol=1e-12)
     np.testing.assert_allclose(div, np.trace(jac), atol=1e-10)
     score_divergence(score, np.stack([x, x + 0.1, x - 0.2]), 0.3, dx=0.05)
@@ -323,7 +332,7 @@ def test_helpers_score_their_points_in_the_order_they_read_them(d):
                   [centres, stencil.points(centres, dx).reshape(-1, d)])}
     for helper, rows in sweeps.items():
         seen = []
-        helper(lambda y, t: seen.append(y) or y, x, 0.3, dx)
+        helper(lambda y, t: seen.append(y) or y, x[None, :], 0.3, dx)
         offsets = np.array(list(dict.fromkeys(map(tuple, rows.tolist()))))
         np.testing.assert_array_equal(seen[0], x + offsets)
 
@@ -351,7 +360,7 @@ def test_derivative_helpers_match_the_reference_assembly(kind, d, dx):
     x, t = np.linspace(-0.5, 0.7, d), 0.3
     size = max(1.0, np.max(np.abs(score(x + 2 * dx * np.eye(d), t))))
     for fast, ref, orders in _HELPERS:
-        got, want = fast(score, x, t, dx), ref(score, x, t, dx)
+        got, want = _at(fast, score, x, t, dx), ref(score, x, t, dx)
         if not isinstance(want, tuple):
             got, want = (got,), (want,)
         assert len(got) == len(want) == len(orders)
@@ -454,11 +463,11 @@ def test_linear_score_derivatives_are_closed_form(d, monkeypatch):
     x, t, dx = np.linspace(-0.5, 0.7, d), 0.3, 0.01
     slope, s = score.slope(t), score(x, t)
     helpers = [fast for fast, _, _ in _HELPERS]
-    stencil_path = [helper(lambda y, tt: score(y, tt), x, t, dx) for helper in helpers]
+    stencil_path = [_at(helper, lambda y, tt: score(y, tt), x, t, dx) for helper in helpers]
     calls = []
     monkeypatch.setattr(AnalyticGaussianScore, "__call__",
                         lambda self, y, tt: calls.append(y))
-    got = [helper(score, x, t, dx) for helper in helpers]
+    got = [_at(helper, score, x, t, dx) for helper in helpers]
     assert calls == []
     for g, w in zip(got, stencil_path):
         _assert_same_types_and_shapes(g, w)
@@ -494,7 +503,7 @@ def test_divergence_with_one_time_per_point_matches_single_points():
     ts = np.linspace(0.1, 0.9, 4)
     s, div = score_divergence(model, xs, ts, dx)
     for k in range(4):
-        s_k, div_k = score_divergence(model, xs[k], float(ts[k]), dx)
+        s_k, div_k = score_divergence(model, xs[k:k + 1], float(ts[k]), dx)
         np.testing.assert_allclose(s[k], s_k[0], rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(div[k], div_k[0], rtol=1e-12, atol=1e-12)
 
@@ -533,10 +542,9 @@ def test_helpers_on_a_stack_match_each_point_at_its_own_time(kind, d):
         stacked = stacked if isinstance(stacked, tuple) else (stacked,)
         assert len(stacked) == len(orders)
         for i, (x, t) in enumerate(zip(xs, ts.tolist())):
-            single = helper(score, x, t, dx)
+            single = helper(score, x[None, :], t, dx)  # a stack of one
             single = single if isinstance(single, tuple) else (single,)
-            if helper is score_divergence:  # a single point is a stack of one
-                single = tuple(o[0] for o in single)
+            single = tuple(o[0] for o in single)
             for g, w, k in zip(stacked, single, orders):
                 assert np.shape(g[i]) == np.shape(w)
                 assert np.max(np.abs(g[i] - w)) <= 1e-9 * size / dx ** k
