@@ -268,10 +268,9 @@ def cmd_nll(args) -> int:
     summary = nll_dataset(model, cfg.make_schedule(model.dim), cloud.points[idx],
                           stencil=FdStencil(dx=nl["dx"]),
                           tol_outer=nl["tol_outer"], tol_inner=nl["tol_inner"],
-                          err_scheme=args.scheme, threads=threads)
+                          threads=threads)
     out = _out_dir(args)
-    data_mod.write_table(out / "nll_table.tsv", *summary.table(),
-                         echo={**cfg.echo(), "nll.scheme": args.scheme})
+    data_mod.write_table(out / "nll_table.tsv", *summary.table(), echo=cfg.echo())
     print(f"NLL = {summary.nll_mean:.4f} +- {summary.nll_stderr:.4f}  "
           f"1st-corr = {summary.nll_corr_mean:.4f} +- {summary.corr_stderr:.4f}  "
           f"errors = {summary.err_mean:.4f}  "
@@ -381,7 +380,6 @@ def main(argv=None) -> int:
                    help="tolerance of the error-bar pass")
     p.add_argument("--tol-inner", type=float, default=None,
                    help="tolerance of the log_q0 and correction1 solves")
-    p.add_argument("--scheme", choices=["model", "subtraction"], default="model")
     p.set_defaults(func=cmd_nll)
 
     p = sub.add_parser("w2-sweep", help="W2 vs noise strength")

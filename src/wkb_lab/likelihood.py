@@ -45,15 +45,17 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .error_est import local_err_model_from_derivs, local_err_subtraction_from_values
+from .error_est import local_err_model_from_derivs
 from .errors import WkbLabError
-from .ode import DenseOutput, OdeProblem, OdeSolution, check_tol, solve_adaptive
+from .ode import OdeProblem, OdeSolution, check_tol, solve_adaptive
 from .schedule import Schedule
-# score_jacobian is no longer called here; it stays importable under this
-# name because perfbench/tracing.py wraps it there
-from .stencil import (score_div_derivatives, score_divergence, score_jacobian,  # noqa: F401
-                      score_second_derivatives)
+from .stencil import score_div_derivatives, score_divergence, score_second_derivatives
 from .workers import map_jobs
+
+# Nothing here calls these two: perfbench/tracing.py wraps them under these
+# names, and ROADMAP item 1, which re-points the tracer, drops them.
+from .error_est import local_err_subtraction_from_values  # noqa: F401
+from .stencil import score_jacobian  # noqa: F401
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -245,38 +247,6 @@ def _characteristic_rhs(score, schedule: Schedule, dx: float, path):
     return rhs, table
 
 
-def _characteristic_solve(score, schedule: Schedule, path, x_T: np.ndarray, tol: float,
-                          stencil: FdStencil) -> OdeSolution:
-    """One adaptive solve at ``tol`` of the (a, H, c) system along
-    x(t) = ``path`` from t_max, where a = grad log pi(x_T) = -x_T, H = -I
-    and c = 0, down to t_min.
-
-    ``y_final[-1]`` is -correction1, and the continuous extension ``dense``
-    gives a(t) and H(t) between the steps.
-    """
-    d = schedule.dim
-    z_T = np.concatenate([prior_grad(x_T), -np.eye(d).ravel(), [0.0]])
-    rhs, table = _characteristic_rhs(score, schedule, stencil.dx, path)
-    return solve_adaptive(OdeProblem(
-        rhs=rhs, t0=schedule.t_max, t1=schedule.t_min, y0=z_T, tol=tol,
-        stage_hook=table), record_trace=True)
-
-
-def _logq_derivs(back: DenseOutput, path, d: int):
-    """``derivs(ts, xs) -> (grad log q0_t(x), laplacian log q0_t(x))`` at k
-    times and points (k, d) near x_ref(t) = ``path``, from the ``dense``
-    output of the characteristic solve along it: the first-order expansion
-    a + H (x - x_ref), and tr H, stacked (k, d) and (k,)."""
-
-    def derivs(ts, xs):
-        z = back.at(ts)
-        hess = z[:, d: d + d * d].reshape(-1, d, d)
-        grad = z[:, :d] + np.einsum("kij,kj->ki", hess, xs - path(ts))
-        return grad, np.trace(hess, axis1=1, axis2=2)
-
-    return derivs
-
-
 class _Characteristic(NamedTuple):
     """The passes of one point at one tolerance: log q0(x0), the end state
     x_T, the trajectory x(t) of the zeroth-order solve and the backward
@@ -291,7 +261,12 @@ class _Characteristic(NamedTuple):
 def _characteristic(score, schedule: Schedule, x0: np.ndarray, tol: float,
                     stencil: FdStencil) -> _Characteristic:
     """The zeroth-order solve from x0 at t_min to t_max, recording its
-    trajectory, and the characteristic solve back along it, both at ``tol``."""
+    trajectory, and the characteristic solve back along it, both at ``tol``.
+
+    The backward solve carries a = grad log pi(x_T) = -x_T, H = -I and c = 0
+    from t_max down to t_min: its ``y_final[-1]`` is -correction1, and its
+    continuous extension ``dense`` gives a(t) and H(t) between the steps.
+    """
     d = schedule.dim
     logq, flow = _zeroth_order_solve(score, schedule, x0[None, :], schedule.t_min, tol,
                                      stencil, record_trace=True)
@@ -300,13 +275,15 @@ def _characteristic(score, schedule: Schedule, x0: np.ndarray, tol: float,
         return flow.dense.at(ts)[:, :d]
 
     x_T = flow.y_final[:d]
-    return _Characteristic(float(logq[0]), x_T, path,
-                           _characteristic_solve(score, schedule, path, x_T, tol, stencil))
+    z_T = np.concatenate([prior_grad(x_T), -np.eye(d).ravel(), [0.0]])
+    rhs, table = _characteristic_rhs(score, schedule, stencil.dx, path)
+    back = solve_adaptive(OdeProblem(
+        rhs=rhs, t0=schedule.t_max, t1=schedule.t_min, y0=z_T, tol=tol,
+        stage_hook=table), record_trace=True)
+    return _Characteristic(float(logq[0]), x_T, path, back)
 
 
 # -- first order ---------------------------------------------------------------
-
-_ERR_SCHEMES = ("model", "subtraction")
 
 
 class OuterState(NamedTuple):
@@ -326,20 +303,15 @@ class OuterState(NamedTuple):
         return float(err1 @ np.abs(prior_grad(x_T))) + abs(self.err2)
 
 
-def _error_bar_rhs(score, schedule: Schedule, stencil: FdStencil, path,
-                   err_scheme: str, logq_err: float = 0.0, derivs=None):
+def _error_bar_rhs(score, schedule: Schedule, stencil: FdStencil, path, logq_err: float):
     """(rhs, stage table) of the error-bar state along x_ref(t) = ``path``,
-    the trajectory of the zeroth-order solve.  The ``subtraction`` scheme
-    also takes ``derivs``, the (tight, loose) pair of ``_logq_derivs`` of
-    the characteristic solves along it at tol_inner and at the stretched
-    tolerance.
+    the trajectory of the zeroth-order solve, with ``logq_err`` the solver
+    floor of log q0.
 
     Per attempt, the table takes J and the divergence derivatives at the
-    stage points from one stacked sweep, and the local errors from them;
-    a stage is then |L err1| + b with that time's L and b.
+    stage points from one stacked sweep, and the model local errors from
+    them; a stage is then |L err1| + b with that time's L and b.
     """
-    if err_scheme == "subtraction" and derivs is None:
-        raise ValueError("the subtraction scheme needs a second characteristic")
     d = schedule.dim
     dx = stencil.dx
     eye = np.eye(d)
@@ -350,12 +322,7 @@ def _error_bar_rhs(score, schedule: Schedule, stencil: FdStencil, path,
         alpha = schedule.drift_coef(ts)
         half_gg = -alpha
         jac, _, grad_div_s, lap_div_s = score_div_derivatives(score, xs, ts, dx)
-        if err_scheme == "model":
-            local = local_err_model_from_derivs(grad_div_s, lap_div_s, dx,
-                                                logq_err=logq_err)
-        else:
-            tight, loose = derivs
-            local = local_err_subtraction_from_values(tight(ts, xs), loose(ts, xs))
+        local = local_err_model_from_derivs(grad_div_s, lap_div_s, dx, logq_err=logq_err)
         # full flow Jacobian inside one absolute value: the linear drift and
         # the score part nearly cancel near stationarity, and splitting them
         # would inflate the bound by exp(int |a| + |g^2 J/2|) ~ 1e4
@@ -388,17 +355,16 @@ def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
     ``tol_inner`` gives log q0 and records the trajectory x(t).  Along it,
     one backward solve at ``tol_inner`` carries grad log q0_t, its Hessian
     and the first-order coefficient from t_max down to t_min
-    (``_characteristic_solve``).  The error bar then runs from t_min to
-    t_max at ``tol_outer`` along the same x(t) (``_error_bar_rhs``).  Both
-    later passes score the derivatives once per step attempt, at all its
-    stage times in one stacked call, and not once per stage.
-    ``err_scheme`` picks the local-error estimator: "model" from score
-    derivatives, or "subtraction" from a second backward solve along the
-    same x(t) at ``1.1 * tol_inner``.  The model scheme's solver floor is
-    measured once per point as the zeroth-order difference between solves
-    at ``tol_inner`` and ``1.1 * tol_inner``.
+    (``_characteristic``).  The error bar then runs from t_min to t_max at
+    ``tol_outer`` along the same x(t) (``_error_bar_rhs``).  Both later
+    passes score the derivatives once per step attempt, at all its stage
+    times in one stacked call, and not once per stage.  The bar's local
+    errors are the ``error_est`` model's, and its solver floor is measured
+    once per point as the zeroth-order difference between solves at
+    ``tol_inner`` and ``1.1 * tol_inner``.  ``err_scheme`` accepts only
+    "model"; the name stays for callers that still pass it.
     """
-    if err_scheme not in _ERR_SCHEMES:
+    if err_scheme != "model":
         raise ValueError(f"unknown error scheme {err_scheme!r}")
     check_tol(tol_outer, "tol_outer")
     check_tol(tol_inner, "tol_inner")
@@ -408,18 +374,9 @@ def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
     if x0.shape != (d,):
         raise ValueError(f"x0 must have shape ({d},)")
     tight = _characteristic(score, schedule, x0, tol_inner, stencil)
-    logq_err, derivs = 0.0, None
-    if err_scheme == "model":
-        loose = logq_pf(score, schedule, x0, schedule.t_min, 1.1 * tol_inner, stencil)
-        logq_err = abs(loose - tight.log_q0)
-    else:
-        loose = _characteristic_solve(score, schedule, tight.path, tight.x_T,
-                                      1.1 * tol_inner, stencil)
-        derivs = (_logq_derivs(tight.back.dense, tight.path, d),
-                  _logq_derivs(loose.dense, tight.path, d))
-
-    rhs, table = _error_bar_rhs(score, schedule, stencil, tight.path, err_scheme,
-                                logq_err, derivs)
+    loose = logq_pf(score, schedule, x0, schedule.t_min, 1.1 * tol_inner, stencil)
+    rhs, table = _error_bar_rhs(score, schedule, stencil, tight.path,
+                                abs(loose - tight.log_q0))
     bar = solve_adaptive(OdeProblem(rhs=rhs, t0=schedule.t_min, t1=schedule.t_max,
                                     y0=np.zeros(d + 1), tol=tol_outer, stage_hook=table))
     return NllReport(log_q0=tight.log_q0, correction1=-float(tight.back.y_final[-1]),
@@ -466,17 +423,16 @@ class NllSummary:
 
 
 def _point_job(args):
-    score, schedule, x, stencil, tol_outer, tol_inner, err_scheme = args
+    score, schedule, x, stencil, tol_outer, tol_inner = args
     try:
-        return nll_first_order(score, schedule, x, stencil, tol_outer, tol_inner,
-                               err_scheme)
+        return nll_first_order(score, schedule, x, stencil, tol_outer, tol_inner)
     except Exception:  # one bad point, whatever raised, must not end the run
         return None
 
 
 def nll_dataset(score, schedule: Schedule, cloud, stencil: FdStencil | None = None,
                 tol_outer: float = 1e-3, tol_inner: float = 1e-5,
-                err_scheme: str = "model", threads: int = 1) -> NllSummary:
+                threads: int = 1) -> NllSummary:
     """Per-point first-order reports over a point cloud, aggregated.
 
     Failed points (solver blow-ups, or anything else a point raises) are
@@ -487,13 +443,10 @@ def nll_dataset(score, schedule: Schedule, cloud, stencil: FdStencil | None = No
     be picklable by reference, its class defined in an importable module
     or the script file (``workers.map_jobs``).
     """
-    if err_scheme not in _ERR_SCHEMES:
-        raise ValueError(f"unknown error scheme {err_scheme!r}")
     check_tol(tol_outer, "tol_outer")
     check_tol(tol_inner, "tol_inner")
     pts = np.atleast_2d(np.asarray(getattr(cloud, "points", cloud), dtype=float))
-    jobs = [(score, schedule, x, stencil, tol_outer, tol_inner, err_scheme)
-            for x in pts]
+    jobs = [(score, schedule, x, stencil, tol_outer, tol_inner) for x in pts]
     reports = map_jobs(_point_job, jobs, threads)
 
     ok = [r for r in reports if r is not None]

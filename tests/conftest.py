@@ -10,7 +10,7 @@ import pytest
 import wkb_lab
 from wkb_lab.data import DATASETS
 from wkb_lab.gaussian_oracle import GaussianModel
-from wkb_lab.likelihood import FdStencil, _characteristic, _logq_derivs
+from wkb_lab.likelihood import FdStencil, _characteristic
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.score import checkpoint_load, checkpoint_save
 from wkb_lab.train import TrainConfig, train
@@ -41,9 +41,20 @@ def characteristic(score, schedule: Schedule, x0, dx: float, tol: float):
 
 def logq_characteristic(score, schedule: Schedule, x0, dx: float, tol: float):
     """grad log q0_t and its Laplacian along the flow from x0 at t_min:
-    ``derivs(ts, xs)`` at k times and points (k, d)."""
+    ``derivs(ts, xs)`` at k times and points (k, d) near the trajectory
+    x_ref(t), from the backward solve's continuous extension: the
+    first-order expansion a + H (x - x_ref), and tr H, stacked (k, d) and
+    (k,)."""
     c = characteristic(score, schedule, x0, dx, tol)
-    return _logq_derivs(c.back.dense, c.path, c.x_T.size)
+    d = c.x_T.size
+
+    def derivs(ts, xs):
+        z = c.back.dense.at(ts)
+        hess = z[:, d: d + d * d].reshape(-1, d, d)
+        grad = z[:, :d] + np.einsum("kij,kj->ki", hess, xs - c.path(ts))
+        return grad, np.trace(hess, axis1=1, axis2=2)
+
+    return derivs
 
 
 def make_dataset(name: str, n: int, seed: int = DATA_SEED):

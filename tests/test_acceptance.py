@@ -298,8 +298,7 @@ def test_criterion_11_error_machinery(trained_zoo):
     tight = characteristic(model, sched, val.points[0], 0.01, 1e-5)
     grown = []
     for floor in (1e-6, 1e-4):
-        rhs, table = _error_bar_rhs(model, sched, FdStencil(0.01), tight.path, "model",
-                                    floor)
+        rhs, table = _error_bar_rhs(model, sched, FdStencil(0.01), tight.path, floor)
         sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, np.zeros(3),
                                         tol=1e-3, stage_hook=table))
         grown.append(OuterState.of(sol.y_final).err_bound(tight.x_T))

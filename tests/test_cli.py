@@ -201,6 +201,7 @@ def test_nll_echo_records_flags_and_the_checkpoint_schedule(mini_checkpoint, tmp
                  "# schedule.t_max = 1.0", "# nll.dx = 0.02", "# nll.tol_outer = 0.01",
                  "# nll.tol_inner = 0.001"):
         assert line + "\n" in table
+    assert "# nll.scheme" not in table  # one error bar, so nothing to echo
     # the echo is the run: the same settings from a file give the same bytes
     same = tmp_path / "same.ini"
     same.write_text(MINI_CONFIG.replace("dx = 0.05", "dx = 0.02")
@@ -285,6 +286,7 @@ def test_non_finite_nll_setting_is_rejected_before_any_point(mini_checkpoint, tm
     ["gen-data", "--threads", "2"],
     ["train", "--threads", "2"],
     ["sample", "--threads", "2"],
+    ["nll", "--scheme", "model"],
 ])
 def test_command_rejects_a_flag_it_does_not_read(argv):
     with pytest.raises(SystemExit) as exc:

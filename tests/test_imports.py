@@ -100,3 +100,35 @@ def test_data_stream_is_the_only_generator_factory():
             assert sorted(name for _, name in inside) == ["Generator", "PCG64"]
             calls[path.name] = [call for call in calls[path.name] if call not in inside]
     assert {name: found for name, found in calls.items() if found} == {}
+
+
+def _shim_block(source: str) -> set[str]:
+    """Names imported under the comment that names ``perfbench/tracing.py``:
+    the comment lines, then the import lines up to the next blank line."""
+    lines = source.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("#") and "perfbench/tracing.py" in line)
+    while lines[start].startswith("#"):
+        start += 1
+    end = lines.index("", start)
+    block = ast.parse("\n".join(lines[start:end]))
+    assert all(isinstance(node, ast.ImportFrom) for node in block.body)
+    return {alias.name for node in block.body for alias in node.names}
+
+
+def test_every_traced_likelihood_name_is_called_or_a_named_shim():
+    # perfbench/tracing.py wraps functions by their name in the likelihood
+    # module; a wrapped name that likelihood.py never calls reads zero, so
+    # each such name must sit in the one block of shims kept for the tracer
+    tracing = ast.parse((SRC.parent / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    traced = {node.elts[1].value for node in ast.walk(tracing)
+              if isinstance(node, ast.Tuple) and len(node.elts) == 3
+              and isinstance(node.elts[0], ast.Name) and node.elts[0].id == "likelihood"
+              and isinstance(node.elts[1], ast.Constant)}
+    source = (SRC / "wkb_lab" / "likelihood.py").read_text(encoding="utf-8")
+    called = {node.func.id for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    shims = _shim_block(source)
+    assert "solve_adaptive" in traced  # the scan reads the tracer's targets
+    assert shims and not shims & called, "a shim that is called is no shim"
+    assert traced - called == shims

@@ -348,12 +348,14 @@ def test_dataset_workers_run_blas_on_one_thread(monkeypatch):
 
 
 # (keyword arguments, the name the error gives): each is rejected on entry
-_BAD_ARGUMENTS = [pytest.param({"err_scheme": "nonsense"}, "scheme", id="scheme")] + [
-    pytest.param({name: value}, name, id=f"{name}={value!r}")
-    for name in ("tol_outer", "tol_inner") for value in (float("nan"), 0.0, -1e-3)]
+_BAD_TOLS = [pytest.param({name: value}, name, id=f"{name}={value!r}")
+             for name in ("tol_outer", "tol_inner") for value in (float("nan"), 0.0, -1e-3)]
+# nll_first_order keeps err_scheme, whose one accepted value is "model"
+_BAD_SCHEMES = [pytest.param({"err_scheme": "nonsense"}, "scheme", id="scheme"),
+                pytest.param({"err_scheme": "subtraction"}, "scheme", id="scheme=subtraction")]
 
 
-@pytest.mark.parametrize("kwargs, match", _BAD_ARGUMENTS)
+@pytest.mark.parametrize("kwargs, match", _BAD_TOLS)
 def test_dataset_rejects_unknown_scheme_before_any_point(kwargs, match):
     _, sched, exact = pipeline(0.3)
     calls = []
@@ -367,7 +369,7 @@ def test_dataset_rejects_unknown_scheme_before_any_point(kwargs, match):
     assert calls == []
 
 
-@pytest.mark.parametrize("kwargs, match", _BAD_ARGUMENTS)
+@pytest.mark.parametrize("kwargs, match", _BAD_SCHEMES + _BAD_TOLS)
 def test_first_order_rejects_unknown_scheme_before_any_solve(kwargs, match):
     _, sched, exact = pipeline(0.3)
     calls = []
