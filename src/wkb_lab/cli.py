@@ -282,8 +282,7 @@ def _w2_trial(job):
     model, schedule, cloud_points, data_seed, train_seed, n, h, trial = job
     val_rng = data_mod.stream(data_seed, 0x7E57, trial)
     val = cloud_points[val_rng.permutation(len(cloud_points))[:n]]
-    gen_seed = int(np.random.SeedSequence(
-        entropy=train_seed, spawn_key=(0x5A3, trial)).generate_state(1)[0])
+    gen_seed = data_mod.derived_seed(train_seed, 0x5A3, trial)
     samples, _ = sample_sde(model, schedule, SamplerConfig(h=h, seed=gen_seed), n)
     return w2_exact(val, samples).distance
 

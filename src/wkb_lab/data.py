@@ -1,5 +1,6 @@
 """Synthetic 2-D datasets, point-cloud persistence, the package's one
-text-table writer and its one seeded-generator factory, ``stream``.
+text-table writer and its one seeded-generator factory, ``stream`` (with
+``derived_seed``, an integer seed taken from one of its streams).
 
 Two datasets (``DATASETS``): a spiral ("swiss roll" projected to its
 first and last axis) and a 5x5 grid of narrow Gaussians.  Both are
@@ -44,6 +45,12 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     ``np.random.default_rng(s)`` does; distinct keys give independent
     streams of one seed."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def derived_seed(seed: int, *key: int) -> int:
+    """A 32-bit seed from the seed sequence of ``stream(seed, *key)``, for
+    a call that takes a seed rather than a generator."""
+    return int(stream(seed, *key).bit_generator.seed_seq.generate_state(1)[0])
 
 
 def pooled_std(points: np.ndarray) -> float:

@@ -3,14 +3,12 @@
 A stochastic path carries a probability weight exp(-action) relative to the
 flat path measure.  For the forward process the Lagrangian is
 ||xdot - f||^2 / (2 g^2); for the reverse process the score enters through
-the shifted drift f - g^2 s.  The discretization scheme fixes both where
-time-dependent coefficients are evaluated on each interval and the Jacobian
-term that the scheme induces:
-
-    scheme        coefficient point   forward J        reverse J
-    ito           left                0                -sum div(f - g^2 s) dt
-    stratonovich  midpoint average    +1/2 sum div f   -1/2 sum div(f - g^2 s) dt
-    reverse-ito   right               +sum div f dt    0
+the shifted drift f - g^2 s (``sampler.reverse_drift`` at h = 1).  A
+discretization scheme is one coefficient point theta (ito 0, stratonovich
+1/2, reverse-ito 1): an interval takes (1 - theta) of its left node's
+coefficients plus theta of its right node's, and the scheme's Jacobian
+term is theta sum div f dt forward and (theta - 1) sum div(f - g^2 s) dt
+in reverse.
 
 The drift divergence is analytic (d * a(t)); the score divergence comes
 from ``stencil.score_divergence`` at the stencil spacing dx.
@@ -23,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sampler import reverse_drift
 from .schedule import Schedule
 from .stencil import score_batch, score_divergence
 
@@ -33,16 +32,11 @@ class DiscretizationScheme(str, enum.Enum):
     REVERSE_ITO = "reverse-ito"
 
 
-# Jacobian prefactors for int div(drift) dt, by scheme.
-_FORWARD_J = {
+# Each scheme's coefficient point theta: the weight of an interval's right node.
+_THETA = {
     DiscretizationScheme.ITO: 0.0,
     DiscretizationScheme.STRATONOVICH: 0.5,
     DiscretizationScheme.REVERSE_ITO: 1.0,
-}
-_REVERSE_J = {
-    DiscretizationScheme.ITO: -1.0,
-    DiscretizationScheme.STRATONOVICH: -0.5,
-    DiscretizationScheme.REVERSE_ITO: 0.0,
 }
 
 
@@ -67,12 +61,11 @@ class DiscretePath:
 
 
 def _per_interval(node_vals: np.ndarray, scheme: DiscretizationScheme) -> np.ndarray:
-    """Pick interval values from node values per the scheme's endpoint rule."""
-    if scheme is DiscretizationScheme.ITO:
-        return node_vals[:-1]
-    if scheme is DiscretizationScheme.REVERSE_ITO:
-        return node_vals[1:]
-    return 0.5 * (node_vals[:-1] + node_vals[1:])
+    """Interval values at the scheme's coefficient point theta.  Scaling by
+    0, 1/2 or 1 is exact, so they are the left values, the halved sum or
+    the right values bit for bit."""
+    theta = _THETA[scheme]
+    return (1.0 - theta) * node_vals[:-1] + theta * node_vals[1:]
 
 
 def _lagrangian_sum(path: DiscretePath, drift_nodes: np.ndarray,
@@ -95,7 +88,7 @@ def forward_action(path: DiscretePath, schedule: Schedule) -> float:
     g2_nodes = np.asarray(schedule.g2(ts), dtype=float)
     drift_nodes = a_nodes[:, None] * xs
     action = _lagrangian_sum(path, drift_nodes, g2_nodes)
-    coef = _FORWARD_J[path.scheme]
+    coef = _THETA[path.scheme]
     if coef:
         div_nodes = d * a_nodes
         action += coef * float(np.sum(_per_interval(div_nodes, path.scheme) * np.diff(ts)))
@@ -111,12 +104,12 @@ def reverse_action(path: DiscretePath, schedule: Schedule, score,
     d = xs.shape[1]
     a_nodes = np.asarray(schedule.drift_coef(ts), dtype=float)
     g2_nodes = np.asarray(schedule.g2(ts), dtype=float)
-    coef = _REVERSE_J[path.scheme]
+    coef = _THETA[path.scheme] - 1.0
     if coef:  # one sweep over all nodes gives s and div s
         s_nodes, div_s = score_divergence(score, xs, ts, dx)
     else:
         s_nodes = score_batch(score, xs, ts)
-    drift_nodes = a_nodes[:, None] * xs - g2_nodes[:, None] * s_nodes
+    drift_nodes = reverse_drift(a_nodes[:, None], g2_nodes[:, None], xs, s_nodes, 1.0)
     action = _lagrangian_sum(path, drift_nodes, g2_nodes)
     if coef:
         div_nodes = d * a_nodes - g2_nodes * div_s  # div(f - g^2 s) per node

@@ -7,9 +7,10 @@ Euler-Maruyama updates on a uniform grid read
                + sqrt(h dt) g(t) z,   z ~ N(0, I),
 
 so h = 0 degenerates to the deterministic probability-flow drift
-f - (g^2/2) s and h = 1 to the standard reverse SDE.  Each trajectory draws
-its latent and then its per-step noise from one stream, ``stream(seed,
-index)``, so results do not depend on chunking or thread count.  Latents
+f - (g^2/2) s and h = 1 to the standard reverse SDE; ``reverse_drift`` is
+that drift.  Each trajectory draws its latent and then its per-step noise
+from one stream, ``stream(seed, index)``, so results do not depend on
+chunking or thread count.  Latents
 come only from these streams: ``sample_ode(seed=s)`` starts from the
 latents of ``sample_sde`` with seed s, which makes the h = 0 and h = 1
 samplers and the ODE start from the same points.
@@ -82,6 +83,12 @@ def draw_latents(seed: int, n: int, dim: int) -> np.ndarray:
     return _normals(seed, 0, n, 1, dim)[:, 0]
 
 
+def reverse_drift(a, g2, x: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
+    """b_h = a x - ((1+h)/2) g^2 s, the one drift of the noise-h reverse
+    process, from a(t), g(t)^2 and the score values s."""
+    return a * x - 0.5 * (1.0 + h) * g2 * s
+
+
 def em_sweep(score, schedule: Schedule, h: float, ts: np.ndarray, x0: np.ndarray,
              noise: np.ndarray | None, keep_history: int = 0
              ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -107,8 +114,7 @@ def em_sweep(score, schedule: Schedule, h: float, ts: np.ndarray, x0: np.ndarray
     for k in range(n_steps):
         t, dt = ts[k], ts[k] - ts[k + 1]
         s = np.asarray(score(x, t), dtype=float)  # a network's float32, upcast
-        drift = a_grid[k] * x - 0.5 * (1.0 + h) * g2_grid[k] * s
-        x = x - dt * drift
+        x = x - dt * reverse_drift(a_grid[k], g2_grid[k], x, s, h)
         if noise is not None and h > 0.0:
             x = x + np.sqrt(h * dt * g2_grid[k]) * noise[:, k]
         if not np.all(np.isfinite(x)):
@@ -124,6 +130,8 @@ def sample_sde(score, schedule: Schedule, config: SamplerConfig, n: int,
 
     The first ``n_record`` trajectories are returned alongside the cloud.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     d = schedule.dim
     ts = np.linspace(schedule.t_max, schedule.t_min, config.n_steps + 1)
     n_draws = 1 + config.n_steps if config.h > 0.0 else 1
@@ -144,22 +152,20 @@ def sample_sde(score, schedule: Schedule, config: SamplerConfig, n: int,
     return cloud, recorded
 
 
-def pf_drift(score, schedule: Schedule, x: np.ndarray, t: float) -> np.ndarray:
-    """Probability-flow drift f - (g^2 / 2) s."""
-    return schedule.drift_coef(t) * x - 0.5 * schedule.g2(t) * np.asarray(score(x, t))
-
-
 def sample_ode(score, schedule: Schedule, n: int, tol: float = 1e-5,
                seed: int = 0) -> PointCloud:
     """Deterministic samples: integrate the probability-flow ODE backward from
     ``draw_latents(seed, n, d)``, the latents ``sample_sde`` starts from
     with the same seed."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     d = schedule.dim
     latents = draw_latents(seed, n, d)
 
     def rhs(t, y):
         x = y.reshape(-1, d)
-        return pf_drift(score, schedule, x, t).ravel()
+        return reverse_drift(schedule.drift_coef(t), schedule.g2(t), x,
+                             np.asarray(score(x, t)), 0.0).ravel()
 
     sol = solve_adaptive(OdeProblem(rhs=rhs, t0=schedule.t_max, t1=schedule.t_min,
                                     y0=latents.ravel(), tol=tol))

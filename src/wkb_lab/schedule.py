@@ -7,7 +7,8 @@ Signal and noise scales follow from the drift/diffusion pair:
     sigma(t)^2 = alpha(t)^2 * int_0^t g^2 / alpha^2
 
 Every kind here is variance preserving, alpha^2 + sigma^2 = 1, which is
-equivalent to g(t)^2 = -2 a(t).
+equivalent to g(t)^2 = -2 a(t).  So a kind states only its drift a(t), and
+``g2`` is -2 a(t) by construction.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ class Schedule:
         cosine:     a(t) = -(pi/2) tan(pi t / 2),  g(t)^2 = pi tan(pi t / 2)
         const-beta: a(t) = -beta/2,                g(t)^2 = beta
     beta : float
-        Rate constant; used by simple and const-beta (ignored by cosine).
+        Rate constant, positive and finite; used by simple and const-beta
+        (ignored by cosine).
     t_min, t_max : float
-        Working time window.  t_min > 0 keeps sigma(t) away from zero.
+        Working time window, t_min < t_max < inf.  t_min in (0, 1) keeps
+        sigma(t) away from zero.
     dim : int
         State dimension d; the drift divergence is d * a(t).
     """
@@ -53,12 +56,12 @@ class Schedule:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ScheduleKind(self.kind))
-        if not self.beta > 0.0:  # also rejects NaN
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < np.inf:  # also rejects NaN
+            raise ValueError("beta must be positive and finite")
         if not (0.0 < self.t_min < 1.0):
             raise ValueError("t_min must lie in (0, 1)")
-        if not self.t_max > self.t_min:
-            raise ValueError("t_max must exceed t_min")
+        if not self.t_min < self.t_max < np.inf:
+            raise ValueError("t_max must exceed t_min and be finite")
         if self.kind is ScheduleKind.COSINE and self.t_max >= 1.0 - _COSINE_POLE_MARGIN:
             raise ValueError("cosine schedule requires t_max < 1 - 1e-9 (tan pole)")
         if self.dim < 1:
@@ -87,15 +90,9 @@ class Schedule:
         return _unwrap(out)
 
     def g2(self, t):
-        """Diffusion variance rate g(t)^2."""
-        t = self._time(t)
-        if self.kind is ScheduleKind.SIMPLE:
-            out = self.beta * t
-        elif self.kind is ScheduleKind.COSINE:
-            out = np.pi * np.tan(0.5 * np.pi * t)
-        else:
-            out = _constant(t, self.beta)
-        return _unwrap(out)
+        """Diffusion variance rate g(t)^2 = -2 a(t): every kind is variance
+        preserving, and doubling is exact, so g^2/2 is -a(t) bit for bit."""
+        return -2.0 * self.drift_coef(t)
 
     def alpha(self, t):
         """Signal scale alpha(t) = exp(int_0^t a)."""

@@ -298,6 +298,8 @@ def test_command_rejects_a_flag_it_does_not_read(argv):
     "kind = cosine\nt_max = 1.0",  # the tangent pole
     "kind = simple\nt_max = nan",
     "kind = simple\nbeta = nan",
+    "kind = simple\nbeta = inf",
+    "kind = simple\nt_max = inf",
     "kind = quadratic",
 ])
 def test_bad_schedule_is_a_config_error(tmp_path, capsys, schedule):

@@ -3,10 +3,13 @@ import pytest
 
 from wkb_lab.data import stream, write_table
 from wkb_lab.gaussian_oracle import GaussianModel
+from wkb_lab.likelihood import _pf_with_div_rhs
+from wkb_lab.pathaction import DiscretizationScheme, _per_interval
 from wkb_lab.sampler import (SamplerConfig, Trajectory, draw_latents, em_sweep,
-                             sample_ode, sample_sde)
+                             reverse_drift, sample_ode, sample_sde)
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.score import MlpScore
+from wkb_lab.stencil import score_divergence
 from wkb_lab.wasserstein import w2_exact
 
 
@@ -229,3 +232,44 @@ def test_config_validation():
     assert SamplerConfig(n_steps=np.int64(3)).n_steps == 3
     with pytest.raises(ValueError):
         Trajectory(times=np.array([1.0, 0.5]), states=np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("draw", [
+    lambda score, sched, n: sample_sde(score, sched, SamplerConfig(n_steps=5), n),
+    lambda score, sched, n: sample_ode(score, sched, n),
+], ids=["sde", "ode"])
+def test_sample_count_below_one_is_rejected(draw, n):
+    _, sched, score = oracle()
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        draw(score, sched, n)
+
+
+KINDS = (Schedule(kind=ScheduleKind.SIMPLE, beta=20.0),
+         Schedule(kind=ScheduleKind.COSINE, t_max=0.99),
+         Schedule(kind=ScheduleKind.CONST_BETA, beta=1.0, t_max=3.0))
+
+
+@pytest.mark.parametrize("sched", KINDS, ids=lambda s: s.kind.value)
+def test_every_copy_of_the_noise_h_drift_is_reverse_drift_bit_for_bit(sched):
+    # b_h = a x - ((1+h)/2) g^2 s is written once, in reverse_drift; the
+    # likelihood's allocation-free flow keeps its own form and must agree
+    x = np.random.default_rng(5).standard_normal((6, 2))
+    t, dt = 0.37, 0.25  # t - dt is exact, so the sweep's step is dt
+    a, g2 = sched.drift_coef(t), sched.g2(t)
+    network = MlpScore.create(2, seed=2)
+    for score in (network, oracle(eps=0.3)[2]):
+        s, _ = score_divergence(score, x, t, 0.01)
+        y = np.concatenate([x.ravel(), np.zeros(len(x))])
+        flow = _pf_with_div_rhs(score, sched, len(x), 0.01)(t, y)[: x.size]
+        assert flow.tobytes() == reverse_drift(a, g2, x, s, 0.0).ravel().tobytes()
+    for score in (lambda x, t: network(x, t), oracle(eps=0.3)[2]):
+        stepped, _ = em_sweep(score, sched, 0.5, [t, t - dt], x, None)
+        want = x - dt * reverse_drift(a, g2, x, np.asarray(score(x, t)), 0.5)
+        assert stepped.tobytes() == want.tobytes()
+    nodes = np.random.default_rng(6).standard_normal((9, 2))
+    left, right = nodes[:-1], nodes[1:]
+    for scheme, want in ((DiscretizationScheme.ITO, left),
+                         (DiscretizationScheme.STRATONOVICH, 0.5 * (left + right)),
+                         (DiscretizationScheme.REVERSE_ITO, right)):
+        assert _per_interval(nodes, scheme).tobytes() == want.tobytes()

@@ -103,6 +103,10 @@ def test_validation_rejects_bad_parameters():
         Schedule(kind=ScheduleKind.SIMPLE, t_min=0.0)
     with pytest.raises(ValueError):
         Schedule(kind=ScheduleKind.SIMPLE, t_min=0.5, t_max=0.2)
+    with pytest.raises(ValueError):
+        Schedule(kind=ScheduleKind.SIMPLE, beta=np.inf)
+    with pytest.raises(ValueError):
+        Schedule(kind=ScheduleKind.SIMPLE, t_max=np.inf)
 
 
 def test_vectorized_evaluation():
