@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkb_lab.gaussian_oracle import (GaussianModel, gaussian_curves,
-                                     flow_identity_residual_grid)
+from wkb_lab.gaussian_oracle import GaussianModel, gaussian_curves
 from wkb_lab.ode import OdeProblem, solve_adaptive
 
 BASE = GaussianModel(beta=1.0, v0=2.0, epsilon=0.3, T=3.0)
@@ -97,20 +96,6 @@ def test_nll_and_w2_at_exact_score():
 def test_w2_nonnegative(h, eps):
     model = GaussianModel(beta=1.0, v0=2.0, epsilon=eps, T=3.0)
     assert model.w2(h) >= 0.0
-
-
-def test_nll_w2_monotone_for_overconfident_score():
-    hs = np.linspace(0.0, 1.0, 51)
-    nll = np.array([BASE.nll(h) for h in hs])
-    w2 = np.array([BASE.w2(h) for h in hs])
-    assert np.all(np.diff(nll) <= 1e-12)
-    assert np.all(np.diff(w2) <= 1e-12)
-
-
-def test_flow_identity_residual_grid():
-    grid = flow_identity_residual_grid(GaussianModel(beta=1.0, v0=2.0, T=3.0),
-                               [0.0, 0.25, 0.5, 1.0], [-0.2, 0.0, 0.3])
-    assert max(r for _, _, r in grid) < 1e-6
 
 
 def test_flow_identity_residual_tracks_quadrature_tolerance():
