@@ -326,7 +326,7 @@ def cmd_gaussian(args) -> int:
     out = _out_dir(args)
     echo = {f"gaussian.{key}": val for key, val in asdict(model).items()}
     data_mod.write_table(out / "gaussian_curves.tsv", "h\tnll\tw2", curves, echo=echo)
-    grid = flow_identity_residual_grid(model, [0.0, 0.25, 0.5, 1.0], [-0.2, 0.0, 0.3])
+    grid = flow_identity_residual_grid(model)
     data_mod.write_table(out / "flow_identity_residuals.tsv", "h\teps\tresidual", grid,
                          echo=echo)
     worst = max(r for _, _, r in grid)

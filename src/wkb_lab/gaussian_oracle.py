@@ -168,8 +168,10 @@ def gaussian_curves(model: GaussianModel, h_values) -> list[tuple[float, float, 
     return rows
 
 
-def flow_identity_residual_grid(model_base: GaussianModel, h_values,
-                                eps_values) -> list[tuple[float, float, float]]:
+def flow_identity_residual_grid(model_base: GaussianModel,
+                                h_values=(0.0, 0.25, 0.5, 1.0),
+                                eps_values=(-0.2, 0.0, 0.3)
+                                ) -> list[tuple[float, float, float]]:
     """(h, eps, residual) rows of the flow-identity check over a grid."""
     rows = []
     for h in h_values:

@@ -55,15 +55,6 @@ def _vprime_by_ode(model: GaussianModel, h: float, t_eval):
     return dict(out)
 
 
-@pytest.mark.parametrize("h,eps", [(0.0, 0.3), (1.0, -0.2), (0.25, -0.2), (0.5, 0.1)])
-def test_vprime_closed_form_solves_the_defining_ode(h, eps):
-    model = GaussianModel(beta=1.0, v0=2.0, epsilon=eps, T=3.0)
-    ts = np.linspace(0.0, model.T, 7)
-    by_ode = _vprime_by_ode(model, h, ts)
-    for t, val in by_ode.items():
-        assert abs(val - model.vprime_t(h, t)) < 1e-8
-
-
 def test_vprime_continuous_in_epsilon_at_zero():
     for h in (0.0, 0.5, 1.0):
         ref = GaussianModel(beta=1.0, v0=2.0, epsilon=0.0, T=3.0).vprime_t(h, 0.7)

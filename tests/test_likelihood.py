@@ -10,6 +10,7 @@ import stencil_reference
 import wkb_lab.likelihood as likelihood
 from wkb_lab import stencil
 from wkb_lab.data import make_swiss_roll, write_table
+from wkb_lab.gaussian_oracle import GaussianModel
 from wkb_lab.likelihood import (FdStencil, OuterState, _characteristic_rhs,
                                 _pf_with_div_rhs, logq_pf, logq_pf_batch, nll_dataset,
                                 nll_first_order, prior_grad, prior_logpdf)
@@ -49,28 +50,6 @@ def test_logq_at_terminal_time_is_prior():
     assert got == pytest.approx(prior_logpdf(x), abs=1e-12)
 
 
-def test_logq_stationary_case_equals_prior():
-    model, sched, score = pipeline(0.0)
-    model1 = oracle_model(0.0)
-    # v0 = 1 makes the flow the identity
-    from wkb_lab.gaussian_oracle import GaussianModel
-    m = GaussianModel(beta=4.0, v0=1.0, epsilon=0.0, T=4.0)
-    sched, score = m.to_schedule(dim=2, t_min=0.01), m.to_score(dim=2)
-    x = np.array([0.9, 0.2])
-    assert logq_pf(score, sched, x, sched.t_min, tol=1e-7) == pytest.approx(
-        prior_logpdf(x), abs=1e-6)
-
-
-def test_logq_matches_closed_form():
-    model, sched, score = pipeline(0.3)
-    vp = model.vprime_t(0.0, sched.t_min)
-    rng = np.random.default_rng(1)
-    for x in rng.standard_normal((5, 2)) * np.sqrt(vp):
-        for name, path in both_paths(score):
-            got = logq_pf(path, sched, x, sched.t_min, tol=1e-5)
-            assert abs(got - model.logq0(x, h=0.0, t=sched.t_min)) < 1e-3, name
-
-
 def test_logq_self_consistent_under_tol_tightening():
     _, sched, score = pipeline(0.3)
     x = np.array([0.2, -0.1])
@@ -80,7 +59,6 @@ def test_logq_self_consistent_under_tol_tightening():
 
 
 def test_fd_grad_logq_stationary_gaussian():
-    from wkb_lab.gaussian_oracle import GaussianModel
     m = GaussianModel(beta=4.0, v0=1.0, epsilon=0.0, T=4.0)
     sched, score = m.to_schedule(dim=2, t_min=0.01), m.to_score(dim=2)
     x = np.array([0.5, -0.3])
@@ -95,28 +73,6 @@ def test_fd_grad_logq_stationary_gaussian():
 # whose derivatives are closed-form, and with the same score as a plain
 # callable, whose derivatives come from the stencil sweeps a trained score
 # takes.  Both must meet the same bound against the exact answer.
-
-def test_first_order_vanishes_at_exact_score():
-    _, sched, score = pipeline(0.0)
-    rng = np.random.default_rng(5)
-    for x in rng.standard_normal((2, 2)):
-        for name, path in both_paths(score):
-            rep = nll_first_order(path, sched, x, FdStencil(0.05),
-                                  tol_outer=1e-6, tol_inner=1e-7)
-            assert abs(rep.correction1) < 1e-4, name
-
-
-def test_first_order_matches_closed_form_h_derivative():
-    model, sched, score = pipeline(0.3)
-    vp = model.vprime_t(0.0, sched.t_min)
-    rng = np.random.default_rng(9)
-    for x in rng.standard_normal((2, 2)) * np.sqrt(vp):
-        oracle = model.dlogq0_dh_at0(x, t=sched.t_min)
-        for name, path in both_paths(score):
-            rep = nll_first_order(path, sched, x, FdStencil(0.05),
-                                  tol_outer=1e-6, tol_inner=1e-7)
-            assert abs(rep.correction1 - oracle) / abs(oracle) < 1e-4, name
-
 
 def test_first_order_matches_closed_form_at_the_cli_defaults():
     # the nll command's dx and tolerances, on points drawn like the data

@@ -13,7 +13,6 @@ from wkb_lab import likelihood
 from wkb_lab.ode import _MAX_NORM, OdeProblem, solve_adaptive
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.score import MlpScore
-from wkb_lab.verify import CHECKS
 
 
 def test_constant_rhs_zero_is_exact():
@@ -40,11 +39,6 @@ def test_backward_integration():
     sol = solve_adaptive(OdeProblem(lambda t, y: -y, 1.0, 0.0,
                                     np.array([np.exp(-1.0)]), tol=1e-9))
     assert abs(sol.y_final[0] - 1.0) < 1e-7
-
-
-def test_reversibility_linear_problem():
-    value, bound = CHECKS["ode_reversibility"]()
-    assert value < bound
 
 
 def test_adaptive_agrees_with_fixed_rk4():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from wkb_lab.gaussian_oracle import GaussianModel
 from wkb_lab.pathaction import (DiscretePath, DiscretizationScheme,
                                 forward_action, reverse_action)
 from wkb_lab.schedule import Schedule, ScheduleKind
@@ -58,50 +57,6 @@ def test_reverse_action_with_zero_score_equals_forward_on_drift_free():
         fwd = forward_action(path, sched)
         rev = reverse_action(path, sched, zero_score)
         assert rev == pytest.approx(fwd, rel=1e-12)
-
-
-def _exact_const_beta_path(model: GaussianModel, n_steps: int, rng):
-    ts = np.linspace(0.0, model.T, n_steps + 1)
-    xs = np.empty((n_steps + 1, 1))
-    xs[0, 0] = rng.normal(0.0, np.sqrt(model.v0))
-    for i in range(n_steps):
-        dt = ts[i + 1] - ts[i]
-        decay = np.exp(-0.5 * model.beta * dt)
-        xs[i + 1, 0] = decay * xs[i, 0] + np.sqrt(1 - decay ** 2) * rng.normal()
-    return ts, xs
-
-
-def _identity_residual(model, sched, score, ts, xs):
-    def logp(x, t):
-        vt = model.v_t(t)
-        return -0.5 * np.log(2 * np.pi * vt) - x * x / (2 * vt)
-
-    path = DiscretePath(times=ts, states=xs,
-                        scheme=DiscretizationScheme.STRATONOVICH)
-    lhs = -logp(xs[0, 0], ts[0]) + forward_action(path, sched)
-    rhs = -logp(xs[-1, 0], ts[-1]) + reverse_action(path, sched, score)
-    return abs(lhs - rhs)
-
-
-def test_forward_reverse_identity_convergence_order():
-    # P = p0 exp(-A_fwd) = exp(-A_rev) p_T, checked pathwise on the exact
-    # Gaussian; the midpoint scheme makes the discrete residual O(dt).
-    model = GaussianModel(beta=1.0, v0=2.0, epsilon=0.0, T=3.0)
-    sched = Schedule(kind=ScheduleKind.CONST_BETA, beta=1.0, t_max=3.0, dim=1)
-    score = model.to_score(dim=1)
-    rng = np.random.default_rng(11)
-    n_fine, factors, n_paths = 2048, (16, 8, 4, 2, 1), 20
-    residuals = np.zeros(len(factors))
-    for _ in range(n_paths):
-        ts, xs = _exact_const_beta_path(model, n_fine, rng)
-        for i, k in enumerate(factors):
-            residuals[i] += _identity_residual(model, sched, score,
-                                               ts[::k], xs[::k]) / n_paths
-    dts = model.T * np.asarray(factors, dtype=float) / n_fine
-    slope = np.polyfit(np.log(dts), np.log(residuals), 1)[0]
-    assert np.all(np.diff(residuals) < 0.0)      # refinement shrinks the residual
-    assert residuals[0] / residuals[-2] == pytest.approx(8.0, rel=0.6)
-    assert slope >= 0.9
 
 
 def test_path_validation():

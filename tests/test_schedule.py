@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wkb_lab.schedule import Schedule, ScheduleKind
@@ -50,20 +48,6 @@ def test_alpha_sigma2_match_defining_integrals():
             sigma2_q = alpha_q ** 2 * ig
             assert abs(alpha_q - sched.alpha(t)) < 1e-8
             assert abs(sigma2_q - sched.sigma2(t)) < 1e-8
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=0.01, max_value=0.99))
-def test_variance_preserving_identity(t):
-    for sched in ALL:
-        assert abs(sched.alpha(t) ** 2 + sched.sigma2(t) - 1.0) < 1e-12
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=0.01, max_value=0.99))
-def test_g2_is_minus_two_a(t):
-    for sched in ALL:
-        assert abs(sched.g2(t) + 2.0 * sched.drift_coef(t)) < 1e-10
 
 
 def test_half_g2_is_minus_the_drift_coefficient_bit_for_bit():

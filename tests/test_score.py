@@ -181,26 +181,6 @@ def test_dsm_loss_zero_network_matches_direct_sum():
     assert out.loss == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_dsm_gradient_matches_finite_differences(seed):
-    cloud = make_swiss_roll(96, seed=8)
-    model = MlpScore.create(dim=2, seed=seed)
-    out = dsm_loss(model, cloud.points, SCHED, rng_seed=seed + 50)
-    params, grads = model.views(model.params), model.views(out.grads)
-    rng = np.random.default_rng(seed)
-    for k in range(len(params)):  # one entry per weight/bias tensor
-        idx = tuple(int(rng.integers(0, s)) for s in params[k].shape)
-        h, old = 1e-6, params[k][idx]
-        params[k][idx] = old + h
-        lp = dsm_loss(model, cloud.points, SCHED, rng_seed=seed + 50).loss
-        params[k][idx] = old - h
-        lm = dsm_loss(model, cloud.points, SCHED, rng_seed=seed + 50).loss
-        params[k][idx] = old
-        fd = (lp - lm) / (2 * h)
-        bp = grads[k][idx]
-        assert abs(bp - fd) / max(abs(fd), abs(bp), 1e-10) < 1e-4
-
-
 def test_dsm_rejects_empty_batch():
     with pytest.raises(ValueError):
         dsm_loss(zero_model(), np.empty((0, 2)), SCHED, 0)

@@ -53,13 +53,6 @@ def test_layout_is_axis_pairs_after_the_centre():
         np.testing.assert_array_equal(block, stencil.points(c, 0.5))
 
 
-def test_stencils_exact_on_quadratic():
-    f = lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2
-    vals = f(stencil.star(np.array([1.0, 0.0]), 0.01))
-    np.testing.assert_allclose(stencil.gradient(vals[1:], 0.01), [2.0, 0.0], atol=1e-10)
-    assert stencil.laplacian(vals[0], vals[1:], 0.01) == pytest.approx(4.0, abs=1e-7)
-
-
 def test_stencil_truncation_error_quarters_with_half_dx():
     f = lambda pts: pts[:, 0] ** 4
     x = np.array([1.0, 0.5])
