@@ -1,7 +1,10 @@
 """Local numerical-error estimators for grad log q0 and its Laplacian.
-The error-bar pass in ``likelihood`` propagates them, along the trajectory
-x(t) of the zeroth-order solve, to a bound on the correction.  Every
-estimator works on stacks: one row per stage point of a step attempt.
+The error-bar pass ``likelihood._error_bar`` propagates them, along the
+trajectory x(t) of the zeroth-order solve, to a bound on the correction.
+Every estimator works on stacks, one row per stage point of a step attempt,
+and returns the pair (grad_err (m, d), lap_err (m,)).  Both are nonnegative
+by construction; a NaN in either makes the bar's right-hand side
+non-finite, which ends its solve as ``NonFinite`` and fails the point.
 
 The local model: the stencil truncation error of a central difference
 scales as (third or fourth derivative) * dx^2, and the trained score stands
@@ -28,40 +31,23 @@ err1_T . |grad log pi(x_T)| + |err2_T|.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class LocalErr:
-    """Local error bounds stacked over m points: ``grad_err`` (m, d) and
-    ``lap_err`` (m,)."""
-
-    grad_err: np.ndarray  # componentwise bound on the gradient stencil error
-    lap_err: np.ndarray  # bound on the Laplacian stencil error
-
-    def __post_init__(self):
-        self.grad_err = np.asarray(self.grad_err, dtype=float)
-        # one pass over every bound; a NaN fails both comparisons
-        if not all(0.0 <= v < math.inf for v in [*self.grad_err.ravel().tolist(),
-                                                  *np.ravel(self.lap_err).tolist()]):
-            raise ValueError("local error bounds must be finite and nonnegative")
-
-
-def local_err_model_from_derivs(grad_div_s: np.ndarray, lap_div_s,
-                                dx: float, logq_err: float) -> LocalErr:
-    """The model bounds from grad(div s) (m, d) and laplacian(div s) (m,)."""
+def local_err_model_from_derivs(grad_div_s: np.ndarray, lap_div_s, dx: float,
+                                logq_err: float) -> tuple[np.ndarray, np.ndarray]:
+    """The model bounds (grad_err (m, d), lap_err (m,)) from grad(div s)
+    (m, d) and laplacian(div s) (m,)."""
     floor = abs(logq_err)
-    return LocalErr(grad_err=np.abs(grad_div_s) * dx ** 2 + floor / dx,
-                    lap_err=np.abs(lap_div_s) * dx ** 2 + floor / dx ** 2)
+    return (np.abs(grad_div_s) * dx ** 2 + floor / dx,
+            np.abs(lap_div_s) * dx ** 2 + floor / dx ** 2)
 
 
-def local_err_subtraction_from_values(tight, loose) -> LocalErr:
-    """Errors of grad log q0 and its Laplacian from paired (gradient (m, d),
-    Laplacian (m,)) values of the same stack of points, solved at a
-    tolerance and at the tolerance stretched by 1.1.  The error bar no
-    longer uses it; it stays for the benchmark tracer (ROADMAP item 1)."""
+def local_err_subtraction_from_values(tight, loose) -> tuple[np.ndarray, np.ndarray]:
+    """Errors (grad_err, lap_err) of grad log q0 and its Laplacian from
+    paired (gradient (m, d), Laplacian (m,)) values of the same stack of
+    points, solved at a tolerance and at the tolerance stretched by 1.1.
+    The error bar no longer uses it; it stays for the benchmark tracer
+    (ROADMAP item 1)."""
     (grad_t, lap_t), (grad_l, lap_l) = tight, loose
-    return LocalErr(grad_err=np.abs(grad_l - grad_t), lap_err=np.abs(lap_l - lap_t))
+    return np.abs(grad_l - grad_t), np.abs(lap_l - lap_t)

@@ -168,15 +168,15 @@ def gaussian_curves(model: GaussianModel, h_values) -> list[tuple[float, float, 
     return rows
 
 
-def flow_identity_residual_grid(model_base: GaussianModel,
-                                h_values=(0.0, 0.25, 0.5, 1.0),
-                                eps_values=(-0.2, 0.0, 0.3)
+# the (h, eps) grid of the flow-identity check, h outermost
+FLOW_IDENTITY_GRID = tuple((h, eps) for h in (0.0, 0.25, 0.5, 1.0)
+                           for eps in (-0.2, 0.0, 0.3))
+
+
+def flow_identity_residual_grid(model_base: GaussianModel
                                 ) -> list[tuple[float, float, float]]:
-    """(h, eps, residual) rows of the flow-identity check over a grid."""
-    rows = []
-    for h in h_values:
-        for eps in eps_values:
-            model = GaussianModel(beta=model_base.beta, v0=model_base.v0,
-                                  epsilon=eps, T=model_base.T)
-            rows.append((float(h), float(eps), model.verify_flow_identity(h)))
-    return rows
+    """(h, eps, residual) rows of the flow-identity check over
+    ``FLOW_IDENTITY_GRID``, at the base model's beta, v0 and T."""
+    return [(h, eps, GaussianModel(beta=model_base.beta, v0=model_base.v0, epsilon=eps,
+                                   T=model_base.T).verify_flow_identity(h))
+            for h, eps in FLOW_IDENTITY_GRID]

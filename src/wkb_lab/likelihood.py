@@ -23,8 +23,9 @@ from a = -x_T, H = -I at t_max.  The zeroth-order solve records its
 trajectory x(t) (DOPRI5's continuous extension between its steps), and one
 adaptive solve of (a, H, c) along it from t_max down to t_min, with c(t)
 the integral above from t to T (so dc/dt = -(g^2/2) [...] and c(T) = 0),
-gives correction1 = -c(t_min).  A last pass integrates the conservative
-local-error bounds along the same x(t), giving the final err_bound.
+gives correction1 = -c(t_min); that solve keeps only its end state
+(``_characteristic``).  A last pass integrates the conservative local-error
+bounds along the same x(t) and returns the final err_bound (``_error_bar``).
 
 Neither later pass has x in its state, so the score derivatives they need
 depend on t alone.  The solver announces each step attempt's stage times
@@ -47,7 +48,7 @@ import numpy as np
 
 from .error_est import local_err_model_from_derivs
 from .errors import WkbLabError
-from .ode import OdeProblem, OdeSolution, check_tol, solve_adaptive
+from .ode import OdeProblem, check_tol, solve_adaptive
 from .schedule import Schedule
 from .stencil import score_div_derivatives, score_divergence, score_second_derivatives
 from .workers import map_jobs
@@ -78,12 +79,9 @@ class NllReport:
     err_bound: float
 
 
-def prior_logpdf(x) -> float | np.ndarray:
-    """log N(x | 0, I); batched over leading axis for 2-D input."""
+def prior_logpdf(x) -> np.ndarray:
+    """log N(x | 0, I) of each row of an (m, d) stack."""
     x = np.asarray(x, dtype=float)
-    if x.ndim <= 1:
-        x = np.atleast_1d(x)
-        return float(-0.5 * x.size * _LOG_2PI - 0.5 * float(x @ x))
     return -0.5 * x.shape[1] * _LOG_2PI - 0.5 * np.einsum("ij,ij->i", x, x)
 
 
@@ -112,12 +110,10 @@ def _pf_with_div_rhs(score, schedule: Schedule, m: int, dx: float):
 
 
 def _zeroth_order_solve(score, schedule: Schedule, xs: np.ndarray, t_start: float,
-                        tol: float, stencil: FdStencil | None,
-                        record_trace: bool = False):
+                        tol: float, dx: float, record_trace: bool = False):
     """(log q0 at ``t_start``, the solve) for a stack of points.  The
     solve's state is the m points, then their divergence integrals; with
     ``record_trace`` its ``dense`` gives the points' trajectory."""
-    stencil = stencil or FdStencil()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     m, d = xs.shape
     if d != schedule.dim:
@@ -126,7 +122,7 @@ def _zeroth_order_solve(score, schedule: Schedule, xs: np.ndarray, t_start: floa
         raise ValueError("t_start outside the schedule window")
     y0 = np.concatenate([xs.ravel(), np.zeros(m)])
     sol = solve_adaptive(OdeProblem(
-        rhs=_pf_with_div_rhs(score, schedule, m, stencil.dx),
+        rhs=_pf_with_div_rhs(score, schedule, m, dx),
         t0=t_start, t1=schedule.t_max, y0=y0, tol=tol), record_trace=record_trace)
     x_T = sol.y_final[: m * d].reshape(m, d)
     return prior_logpdf(x_T) + sol.y_final[m * d:], sol
@@ -135,7 +131,8 @@ def _zeroth_order_solve(score, schedule: Schedule, xs: np.ndarray, t_start: floa
 def logq_pf_batch(score, schedule: Schedule, xs: np.ndarray, t_start: float,
                   tol: float = 1e-5, stencil: FdStencil | None = None) -> np.ndarray:
     """Zeroth-order log-likelihood at time ``t_start`` for a stack of points."""
-    return _zeroth_order_solve(score, schedule, xs, t_start, tol, stencil)[0]
+    dx = (stencil or FdStencil()).dx
+    return _zeroth_order_solve(score, schedule, xs, t_start, tol, dx)[0]
 
 
 def logq_pf(score, schedule: Schedule, x: np.ndarray, t_start: float,
@@ -248,62 +245,45 @@ def _characteristic_rhs(score, schedule: Schedule, dx: float, path):
 
 
 class _Characteristic(NamedTuple):
-    """The passes of one point at one tolerance: log q0(x0), the end state
-    x_T, the trajectory x(t) of the zeroth-order solve and the backward
-    (a, H, c) solve along it."""
+    """The first two passes of one point at one tolerance: log q0(x0), the
+    end state x_T and the trajectory x(t) of the zeroth-order solve, and
+    the first-order coefficient from the backward solve along it."""
 
     log_q0: float
     x_T: np.ndarray
     path: Callable
-    back: OdeSolution
+    correction1: float
 
 
 def _characteristic(score, schedule: Schedule, x0: np.ndarray, tol: float,
-                    stencil: FdStencil) -> _Characteristic:
+                    dx: float) -> _Characteristic:
     """The zeroth-order solve from x0 at t_min to t_max, recording its
     trajectory, and the characteristic solve back along it, both at ``tol``.
 
     The backward solve carries a = grad log pi(x_T) = -x_T, H = -I and c = 0
-    from t_max down to t_min: its ``y_final[-1]`` is -correction1, and its
-    continuous extension ``dense`` gives a(t) and H(t) between the steps.
+    from t_max down to t_min, where c is -correction1.  It keeps no dense
+    output: only its end state is read.
     """
     d = schedule.dim
     logq, flow = _zeroth_order_solve(score, schedule, x0[None, :], schedule.t_min, tol,
-                                     stencil, record_trace=True)
+                                     dx, record_trace=True)
 
     def path(ts) -> np.ndarray:  # x at each of k times, (k, d)
         return flow.dense.at(ts)[:, :d]
 
     x_T = flow.y_final[:d]
     z_T = np.concatenate([prior_grad(x_T), -np.eye(d).ravel(), [0.0]])
-    rhs, table = _characteristic_rhs(score, schedule, stencil.dx, path)
+    rhs, table = _characteristic_rhs(score, schedule, dx, path)
     back = solve_adaptive(OdeProblem(
         rhs=rhs, t0=schedule.t_max, t1=schedule.t_min, y0=z_T, tol=tol,
-        stage_hook=table), record_trace=True)
-    return _Characteristic(float(logq[0]), x_T, path, back)
+        stage_hook=table))
+    return _Characteristic(float(logq[0]), x_T, path, -float(back.y_final[-1]))
 
 
 # -- first order ---------------------------------------------------------------
 
 
-class OuterState(NamedTuple):
-    """Named views of the error-bar state [err1, err2]."""
-
-    err1: np.ndarray
-    err2: float
-
-    @classmethod
-    def of(cls, y: np.ndarray) -> "OuterState":
-        return cls(y[:-1], float(y[-1]))
-
-    def err_bound(self, x_T: np.ndarray) -> float:
-        # err1 starts at 0 and grows at nonnegative rates; a negative end
-        # value is rounding from DOPRI5's negative weight, so it counts as 0
-        err1 = np.maximum(self.err1, 0.0)
-        return float(err1 @ np.abs(prior_grad(x_T))) + abs(self.err2)
-
-
-def _error_bar_rhs(score, schedule: Schedule, stencil: FdStencil, path, logq_err: float):
+def _error_bar_rhs(score, schedule: Schedule, dx: float, path, logq_err: float):
     """(rhs, stage table) of the error-bar state along x_ref(t) = ``path``,
     the trajectory of the zeroth-order solve, with ``logq_err`` the solver
     floor of log q0.
@@ -313,7 +293,6 @@ def _error_bar_rhs(score, schedule: Schedule, stencil: FdStencil, path, logq_err
     them; a stage is then |L err1| + b with that time's L and b.
     """
     d = schedule.dim
-    dx = stencil.dx
     eye = np.eye(d)
 
     def make(ts):
@@ -322,7 +301,7 @@ def _error_bar_rhs(score, schedule: Schedule, stencil: FdStencil, path, logq_err
         alpha = schedule.drift_coef(ts)
         half_gg = -alpha
         jac, _, grad_div_s, lap_div_s = score_div_derivatives(score, xs, ts, dx)
-        local = local_err_model_from_derivs(grad_div_s, lap_div_s, dx, logq_err=logq_err)
+        grad_err, lap_err = local_err_model_from_derivs(grad_div_s, lap_div_s, dx, logq_err)
         # full flow Jacobian inside one absolute value: the linear drift and
         # the score part nearly cancel near stationarity, and splitting them
         # would inflate the bound by exp(int |a| + |g^2 J/2|) ~ 1e4
@@ -330,8 +309,8 @@ def _error_bar_rhs(score, schedule: Schedule, stencil: FdStencil, path, logq_err
         lin[:, :d] = alpha[:, None, None] * eye - half_gg[:, None, None] * jac
         lin[:, d] = half_gg[:, None] * grad_div_s
         const = np.empty((k, d + 1))
-        const[:, :d] = half_gg[:, None] * local.grad_err
-        const[:, d] = half_gg * local.lap_err
+        const[:, :d] = half_gg[:, None] * grad_err
+        const[:, d] = half_gg * lap_err
         return zip(lin, const)
 
     table = _StageTable(make)
@@ -345,6 +324,25 @@ def _error_bar_rhs(score, schedule: Schedule, stencil: FdStencil, path, logq_err
     return rhs, table
 
 
+def _err_bound(y: np.ndarray, x_T: np.ndarray) -> float:
+    """err1 . |grad log pi(x_T)| + |err2| of the end state y = [err1, err2].
+    err1 starts at 0 and grows at nonnegative rates; a negative end value
+    is rounding from DOPRI5's negative weight, so it counts as 0."""
+    return float(np.maximum(y[:-1], 0.0) @ np.abs(prior_grad(x_T))) + abs(float(y[-1]))
+
+
+def _error_bar(score, schedule: Schedule, dx: float, tight: _Characteristic,
+               logq_err: float, tol: float) -> float:
+    """The error bound of one point: the bar's state [err1, err2] solved
+    from 0 at t_min to t_max at ``tol``, along the trajectory of ``tight``
+    with ``logq_err`` the solver floor of log q0."""
+    rhs, table = _error_bar_rhs(score, schedule, dx, tight.path, logq_err)
+    bar = solve_adaptive(OdeProblem(rhs=rhs, t0=schedule.t_min, t1=schedule.t_max,
+                                    y0=np.zeros(schedule.dim + 1), tol=tol,
+                                    stage_hook=table))
+    return _err_bound(bar.y_final, tight.x_T)
+
+
 def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
                     stencil: FdStencil | None = None,
                     tol_outer: float = 1e-3, tol_inner: float = 1e-5,
@@ -356,7 +354,7 @@ def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
     one backward solve at ``tol_inner`` carries grad log q0_t, its Hessian
     and the first-order coefficient from t_max down to t_min
     (``_characteristic``).  The error bar then runs from t_min to t_max at
-    ``tol_outer`` along the same x(t) (``_error_bar_rhs``).  Both later
+    ``tol_outer`` along the same x(t) (``_error_bar``).  Both later
     passes score the derivatives once per step attempt, at all its stage
     times in one stacked call, and not once per stage.  The bar's local
     errors are the ``error_est`` model's, and its solver floor is measured
@@ -369,18 +367,16 @@ def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
     check_tol(tol_outer, "tol_outer")
     check_tol(tol_inner, "tol_inner")
     stencil = stencil or FdStencil()
+    dx = stencil.dx
     x0 = np.asarray(x0, dtype=float)
     d = schedule.dim
     if x0.shape != (d,):
         raise ValueError(f"x0 must have shape ({d},)")
-    tight = _characteristic(score, schedule, x0, tol_inner, stencil)
+    tight = _characteristic(score, schedule, x0, tol_inner, dx)
     loose = logq_pf(score, schedule, x0, schedule.t_min, 1.1 * tol_inner, stencil)
-    rhs, table = _error_bar_rhs(score, schedule, stencil, tight.path,
-                                abs(loose - tight.log_q0))
-    bar = solve_adaptive(OdeProblem(rhs=rhs, t0=schedule.t_min, t1=schedule.t_max,
-                                    y0=np.zeros(d + 1), tol=tol_outer, stage_hook=table))
-    return NllReport(log_q0=tight.log_q0, correction1=-float(tight.back.y_final[-1]),
-                     err_bound=OuterState.of(bar.y_final).err_bound(tight.x_T))
+    err_bound = _error_bar(score, schedule, dx, tight, abs(loose - tight.log_q0), tol_outer)
+    return NllReport(log_q0=tight.log_q0, correction1=tight.correction1,
+                     err_bound=err_bound)
 
 
 # -- dataset aggregation --------------------------------------------------------

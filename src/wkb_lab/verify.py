@@ -141,7 +141,7 @@ def stationary_logq_equals_prior():
         model = GaussianModel(beta=beta, v0=1.0, epsilon=0.0, T=T)
         schedule, x = model.to_schedule(dim=2, t_min=0.01), np.array(x)
         lq = logq_pf(model.to_score(dim=2), schedule, x, schedule.t_min, tol=1e-8)
-        worst = max(worst, abs(lq - prior_logpdf(x)))
+        worst = max(worst, abs(lq - prior_logpdf(x[None, :])[0]))
     return worst, 1e-6
 
 

@@ -9,7 +9,8 @@ import pytest
 
 import wkb_lab
 from wkb_lab.data import DATASETS
-from wkb_lab.likelihood import FdStencil, _characteristic
+from wkb_lab.likelihood import _characteristic, _characteristic_rhs, prior_grad
+from wkb_lab.ode import OdeProblem, solve_adaptive
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.score import checkpoint_load, checkpoint_save
 from wkb_lab.train import TrainConfig, train
@@ -21,25 +22,20 @@ TRAIN_SEED = 11
 VALIDATION_SEED = 1234
 
 
-def characteristic(score, schedule: Schedule, x0, dx: float, tol: float):
-    """The zeroth-order and backward characteristic solves of the flow from
-    x0 at t_min, as ``nll_first_order`` builds them: ``.x_T`` is the end
-    state, ``.path`` the trajectory x(t) and ``.back`` the backward solve."""
-    return _characteristic(score, schedule, np.asarray(x0, dtype=float), tol,
-                           FdStencil(dx))
-
-
 def logq_characteristic(score, schedule: Schedule, x0, dx: float, tol: float):
-    """grad log q0_t and its Laplacian along the flow from x0 at t_min:
+    """grad log q0_t and its Laplacian along the flow from x0 at t_min, from
+    the backward solve of ``_characteristic`` re-run with its trace kept:
     ``derivs(ts, xs)`` at k times and points (k, d) near the trajectory
-    x_ref(t), from the backward solve's continuous extension: the
-    first-order expansion a + H (x - x_ref), and tr H, stacked (k, d) and
-    (k,)."""
-    c = characteristic(score, schedule, x0, dx, tol)
+    x_ref(t) gives a + H (x - x_ref) and tr H, stacked (k, d) and (k,)."""
+    c = _characteristic(score, schedule, np.asarray(x0, dtype=float), tol, dx)
     d = c.x_T.size
+    rhs, table = _characteristic_rhs(score, schedule, dx, c.path)
+    z_T = np.concatenate([prior_grad(c.x_T), -np.eye(d).ravel(), [0.0]])
+    back = solve_adaptive(OdeProblem(rhs, schedule.t_max, schedule.t_min, z_T, tol=tol,
+                                     stage_hook=table), record_trace=True)
 
     def derivs(ts, xs):
-        z = c.back.dense.at(ts)
+        z = back.dense.at(ts)
         hess = z[:, d: d + d * d].reshape(-1, d, d)
         grad = z[:, :d] + np.einsum("kij,kj->ki", hess, xs - c.path(ts))
         return grad, np.trace(hess, axis1=1, axis2=2)

@@ -79,10 +79,10 @@ def nested_first_order_rhs(score, schedule, dx: float, tol_inner: float,
         delta_f = a * delta_x - 0.5 * gg * (jac @ delta_x) - 0.5 * gg * drive
         div_delta_f = (-0.5 * gg * float(delta_x @ grad_div_s)
                        - 0.5 * gg * (div_s - lap_logq))
-        local = local_err_model_from_derivs(grad_div_s, lap_div_s, dx, logq_err=logq_err)
+        grad_err, lap_err = local_err_model_from_derivs(grad_div_s, lap_div_s, dx, logq_err)
         jac_pf = a * np.eye(d) - 0.5 * gg * jac
-        err1_dot = np.abs(jac_pf @ err1) + 0.5 * gg * local.grad_err
-        err2_dot = abs(0.5 * gg * float(err1 @ grad_div_s)) + 0.5 * gg * local.lap_err
+        err1_dot = np.abs(jac_pf @ err1) + 0.5 * gg * grad_err
+        err2_dot = abs(0.5 * gg * float(err1 @ grad_div_s)) + 0.5 * gg * lap_err
         return np.concatenate([f_x, delta_f, [div_delta_f], err1_dot, [err2_dot]])
 
     return rhs

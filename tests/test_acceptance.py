@@ -17,10 +17,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import VALIDATION_SEED, characteristic, make_dataset
+from conftest import VALIDATION_SEED, make_dataset
 from wkb_lab.gaussian_oracle import GaussianModel
-from wkb_lab.likelihood import FdStencil, nll_dataset, nll_first_order
-from wkb_lab.ode import OdeProblem, solve_adaptive
+from wkb_lab.likelihood import (FdStencil, _characteristic, _error_bar, nll_dataset,
+                                nll_first_order)
 from wkb_lab.pathaction import (DiscretePath, DiscretizationScheme,
                                 forward_action, reverse_action)
 from wkb_lab.sampler import SamplerConfig, sample_sde
@@ -229,14 +229,8 @@ def test_criterion_11_error_machinery(trained_zoo):
     mean_bound = float(np.mean(bounds))
 
     # injecting larger local errors never decreases the bound
-    from wkb_lab.likelihood import OuterState, _error_bar_rhs
-    tight = characteristic(model, sched, val.points[0], 0.01, 1e-5)
-    grown = []
-    for floor in (1e-6, 1e-4):
-        rhs, table = _error_bar_rhs(model, sched, FdStencil(0.01), tight.path, floor)
-        sol = solve_adaptive(OdeProblem(rhs, sched.t_min, sched.t_max, np.zeros(3),
-                                        tol=1e-3, stage_hook=table))
-        grown.append(OuterState.of(sol.y_final).err_bound(tight.x_T))
+    tight = _characteristic(model, sched, val.points[0], 1e-5, 0.01)
+    grown = [_error_bar(model, sched, 0.01, tight, floor, 1e-3) for floor in (1e-6, 1e-4)]
     elapsed = time.time() - t0
     assert grown[0] <= grown[1]
     assert 0.013 <= mean_bound <= 1.3, f"mean err bound {mean_bound:.3f}"

@@ -11,7 +11,7 @@ import wkb_lab.likelihood as likelihood
 from wkb_lab import stencil
 from wkb_lab.data import make_swiss_roll, write_table
 from wkb_lab.gaussian_oracle import GaussianModel
-from wkb_lab.likelihood import (FdStencil, OuterState, _characteristic_rhs,
+from wkb_lab.likelihood import (FdStencil, _characteristic_rhs, _err_bound,
                                 _pf_with_div_rhs, logq_pf, logq_pf_batch, nll_dataset,
                                 nll_first_order, prior_grad, prior_logpdf)
 from wkb_lab.ode import OdeProblem, solve_adaptive
@@ -38,7 +38,7 @@ def both_paths(score):
 
 
 def test_prior_values():
-    assert prior_logpdf(np.zeros(2)) == pytest.approx(-np.log(2 * np.pi))
+    assert prior_logpdf(np.zeros((1, 2)))[0] == pytest.approx(-np.log(2 * np.pi))
     np.testing.assert_array_equal(prior_grad(np.zeros(3)), np.zeros(3))
     np.testing.assert_array_equal(prior_grad(np.array([1.0, 2.0])), [-1.0, -2.0])
 
@@ -47,7 +47,7 @@ def test_logq_at_terminal_time_is_prior():
     _, sched, score = pipeline(0.3)
     x = np.array([0.3, -1.1])
     got = logq_pf(score, sched, x, t_start=sched.t_max)
-    assert got == pytest.approx(prior_logpdf(x), abs=1e-12)
+    assert got == pytest.approx(prior_logpdf(x[None, :])[0], abs=1e-12)
 
 
 def test_logq_self_consistent_under_tol_tightening():
@@ -203,19 +203,16 @@ def test_characteristic_matches_oracle_along_the_flow():
 
 
 def test_outer_state_names_the_layout():
-    y = np.arange(3.0)
-    state = OuterState.of(y)
-    np.testing.assert_array_equal(state.err1, [0.0, 1.0])
-    assert state.err2 == 2.0
-    assert state.err_bound(np.array([3.0, -4.0])) == pytest.approx(0 * 3 + 1 * 4 + 2.0)
+    # the bar's state is [err1, err2]
+    assert _err_bound(np.arange(3.0), np.array([3.0, -4.0])) == pytest.approx(
+        0 * 3 + 1 * 4 + 2.0)
 
 
 def test_err_bound_counts_a_rounded_negative_err1_as_zero():
     # err1 starts at 0 and grows at nonnegative rates, but DOPRI5's negative
     # weight -2187/6784 can end a tiny component just below 0; the bound
     # must not go negative with it
-    state = OuterState.of(np.array([-3.7e-7, 2e-9, 0.0]))
-    assert state.err_bound(np.array([1.0, -4.0])) == 4 * 2e-9
+    assert _err_bound(np.array([-3.7e-7, 2e-9, 0.0]), np.array([1.0, -4.0])) == 4 * 2e-9
 
 
 def test_stage_table_answers_only_the_announced_times():
@@ -359,7 +356,7 @@ def test_score_rows_per_right_hand_side_are_pinned(monkeypatch):
         return exact(x, t)
 
     monkeypatch.setattr(AnalyticGaussianScore, "__call__", counted_call)
-    per_rhs, per_hook, attempts = {}, {}, {}
+    per_rhs, per_hook, attempts, traced = {}, {}, {}, {}
 
     def counting_solve(problem, **kwargs):
         rhs, hook = problem.rhs, problem.stage_hook
@@ -379,6 +376,7 @@ def test_score_rows_per_right_hand_side_are_pinned(monkeypatch):
         sol = solve_adaptive(dataclasses.replace(
             problem, rhs=counted, stage_hook=counted_hook if hook else None), **kwargs)
         attempts.setdefault(name, []).append(sol.n_steps)
+        traced.setdefault(name, set()).add(kwargs.get("record_trace", False))
         return sol
 
     monkeypatch.setattr(likelihood, "solve_adaptive", counting_solve)
@@ -388,6 +386,8 @@ def test_score_rows_per_right_hand_side_are_pinned(monkeypatch):
                        "_characteristic_rhs": {()},  # backward
                        "_error_bar_rhs": {()}}       # error bar
     assert set(per_hook) == {"_characteristic_rhs", "_error_bar_rhs"}
+    assert traced == {"_pf_with_div_rhs": {True, False}, "_characteristic_rhs": {False},
+                      "_error_bar_rhs": {False}}  # one trace: the tight x(t)
     for name, per_time in (("_characteristic_rhs", 21), ("_error_bar_rhs", 13)):
         calls, (n_steps,) = per_hook[name], attempts[name]
         assert n_steps > 1 and len(calls) == 2 + n_steps
