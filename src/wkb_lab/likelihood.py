@@ -46,7 +46,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .error_est import local_err_model_from_derivs
 from .errors import WkbLabError
 from .ode import OdeProblem, check_tol, solve_adaptive
 from .schedule import Schedule
@@ -55,8 +54,18 @@ from .workers import map_jobs
 
 # Nothing here calls these two: perfbench/tracing.py wraps them under these
 # names, and ROADMAP item 1, which re-points the tracer, drops them.
-from .error_est import local_err_subtraction_from_values  # noqa: F401
 from .stencil import score_jacobian  # noqa: F401
+
+
+def local_err_subtraction_from_values(tight, loose) -> tuple[np.ndarray, np.ndarray]:
+    """Errors (grad_err, lap_err) of grad log q0 and its Laplacian from
+    paired (gradient (m, d), Laplacian (m,)) values of the same stack of
+    points, solved at a tolerance and at the tolerance stretched by 1.1."""
+    (grad_t, lap_t), (grad_l, lap_l) = tight, loose
+    return np.abs(grad_l - grad_t), np.abs(lap_l - lap_t)
+
+
+# -- the prior and the records ------------------------------------------------
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -283,10 +292,39 @@ def _characteristic(score, schedule: Schedule, x0: np.ndarray, tol: float,
 # -- first order ---------------------------------------------------------------
 
 
+def local_err_model_from_derivs(grad_div_s: np.ndarray, lap_div_s, dx: float,
+                                logq_err: float) -> tuple[np.ndarray, np.ndarray]:
+    """The local errors (grad_err (m, d), lap_err (m,)) of grad log q0 and
+    its Laplacian at a stack of points, from grad(div s) (m, d) and
+    laplacian(div s) (m,): the stencil truncation, (third or fourth
+    derivative) * dx^2 with the score standing in for the unavailable
+    log-density derivatives, plus the zeroth-order solver's floor
+    ``logq_err`` as logq_err / dx (gradient) and logq_err / dx^2
+    (Laplacian).  At the ``nll`` defaults (dx 0.01, tol 1e-3/1e-5) that
+    floor, which ROADMAP item 3 retires, is nearly the whole bar: on 25
+    points of a 400-epoch 25-gaussian/cosine model the bar without it is
+    2.0e-4 of a median 0.14, and on the analytic score, whose divergence
+    derivatives vanish, it is the whole bar.  The floor itself sits below
+    the true log q0 error on 99% of 200 oracle points (median 8.8e-8
+    against 8.6e-7).  Both errors are nonnegative by construction; a NaN in either ends the
+    bar's solve as ``NonFinite`` and fails the point.
+    """
+    floor = abs(logq_err)
+    return (np.abs(grad_div_s) * dx ** 2 + floor / dx,
+            np.abs(lap_div_s) * dx ** 2 + floor / dx ** 2)
+
+
 def _error_bar_rhs(score, schedule: Schedule, dx: float, path, logq_err: float):
-    """(rhs, stage table) of the error-bar state along x_ref(t) = ``path``,
-    the trajectory of the zeroth-order solve, with ``logq_err`` the solver
-    floor of log q0.
+    """(rhs, stage table) of the error-bar state [err1, err2] along
+    x_ref(t) = ``path``, the trajectory of the zeroth-order solve, with
+    ``logq_err`` the solver floor of log q0.  It is the conservative system
+
+        d err1/dt = | J_pf err1 | + (g^2/2) grad_err
+        d err2/dt = | (g^2/2) err1 . grad(div s) | + (g^2/2) lap_err
+
+    with J_pf the flow-drift Jacobian and (grad_err, lap_err) the local
+    errors of ``local_err_model_from_derivs``; a sum of absolute values, so
+    both components are nondecreasing.
 
     Per attempt, the table takes J and the divergence derivatives at the
     stage points from one stacked sweep, and the model local errors from
@@ -357,10 +395,10 @@ def nll_first_order(score, schedule: Schedule, x0: np.ndarray,
     ``tol_outer`` along the same x(t) (``_error_bar``).  Both later
     passes score the derivatives once per step attempt, at all its stage
     times in one stacked call, and not once per stage.  The bar's local
-    errors are the ``error_est`` model's, and its solver floor is measured
-    once per point as the zeroth-order difference between solves at
-    ``tol_inner`` and ``1.1 * tol_inner``.  ``err_scheme`` accepts only
-    "model"; the name stays for callers that still pass it.
+    errors are those of ``local_err_model_from_derivs``, and its solver
+    floor is measured once per point as the zeroth-order difference between
+    solves at ``tol_inner`` and ``1.1 * tol_inner``.  ``err_scheme``
+    accepts only "model"; the name stays for callers that still pass it.
     """
     if err_scheme != "model":
         raise ValueError(f"unknown error scheme {err_scheme!r}")

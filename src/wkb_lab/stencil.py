@@ -23,9 +23,10 @@ quadratics (gradient, Laplacian, Hessian) and on affine vector fields
 The score's derivative helpers at the end share one sweep: the star and
 the diagonal centres around x, each with its 2d axis offsets.  Its
 assembly of s, div s, J, hess s and the gradient, Laplacian and Hessian of
-div s is one linear operator, built once per (d, dx); each helper takes
-the operator rows of its outputs, merges the sweep rows that land on one
-point (x + dx e_1 - dx e_1 is x), and scores those points in one call.
+div s is linear in the score values; each helper's outputs are one linear
+operator, compiled once per output set (and d, dx), that keeps the rows
+of those outputs, merges the sweep rows that land on one point
+(x + dx e_1 - dx e_1 is x), and scores those points in one call.
 The linear analytic score s = slope(t) x is the exception: the helpers
 return its exact derivatives (J = slope I, div s = d slope, every higher
 derivative 0) and make no score call.  Every helper takes a stack of
@@ -150,17 +151,21 @@ def divergence(vals: np.ndarray, dx: float) -> np.ndarray:
 
 # -- the score's spatial derivatives -----------------------------------------
 
-@functools.lru_cache(maxsize=32)
-def _operator(d: int, dx: float):
-    """(rows, operator, parts) of the one sweep at spacing dx in d dimensions.
+@functools.lru_cache(maxsize=128)
+def _sweep(outputs: tuple, d: int, dx: float):
+    """(offsets, operator, parts) of the one sweep at spacing dx in d
+    dimensions, for the named ``outputs`` alone.
 
-    ``rows`` lists the star and the diagonal centres around x, then each
-    centre's 2d axis offsets, as offsets from x.  ``operator`` maps the
-    flattened score values on the rows to the flattened outputs, and
-    ``parts`` gives each output's (start, stop, shape) by name.  Its columns
-    are the assembly applied to unit values: J comes from the axis centres,
-    ``hess s[k]`` from all centres, and the divergence at every centre gives
-    its gradient, Laplacian and Hessian.
+    The sweep's rows are the star and the diagonal centres around x, then
+    each centre's 2d axis offsets, as offsets from x: J comes from the axis
+    centres, ``hess s[k]`` from all centres, and the divergence at every
+    centre gives its gradient, Laplacian and Hessian.  The operator maps
+    the flattened score values on ``offsets`` to the flattened outputs, and
+    ``parts`` gives each output's (start, stop, shape).  Its columns are the
+    assembly applied to unit values on the rows, with the columns of rows
+    on one point summed in row order; ``offsets`` holds those points, each
+    placed where its first row is read, so both are, bit for bit, those of
+    a sweep over only the rows read.  Both arrays are cached and read-only.
     """
     zero = np.zeros(d)
     centers = np.vstack([star(zero, dx), diagonal_points(zero, dx)])
@@ -169,49 +174,30 @@ def _operator(d: int, dx: float):
     def assemble(vals):
         s_c = vals[:n]
         divs = divergence(vals[n:].reshape(n, 2 * d, d), dx)
-        return {"s": s_c[0], "div": divs[0], "jac": jacobian(s_c[1:na], dx),
-                "hess": hessian(s_c[0], s_c[1:na].T, s_c[na:].T, dx),
-                "grad_div": gradient(divs[1:na], dx),
-                "lap_div": laplacian(divs[0], divs[1:na], dx),
-                "hess_div": hessian(divs[0], divs[1:na], divs[na:], dx)}
+        every = {"s": s_c[0], "div": divs[0], "jac": jacobian(s_c[1:na], dx),
+                 "hess": hessian(s_c[0], s_c[1:na].T, s_c[na:].T, dx),
+                 "grad_div": gradient(divs[1:na], dx),
+                 "lap_div": laplacian(divs[0], divs[1:na], dx),
+                 "hess_div": hessian(divs[0], divs[1:na], divs[na:], dx)}
+        return [every[name] for name in outputs]
 
     rows = np.vstack([centers, points(centers, dx).reshape(-1, d)])
     unit, cols = np.zeros(rows.shape), []
     for k in range(rows.size):
         unit.flat[k] = 1.0
         outs = assemble(unit)
-        cols.append(np.concatenate([np.ravel(o) for o in outs.values()]))
+        cols.append(np.concatenate([np.ravel(o) for o in outs]))
         unit.flat[k] = 0.0
-    operator = np.column_stack(cols)
-    operator.flags.writeable = False
-    stops = np.cumsum([np.size(o) for o in outs.values()]).tolist()
-    return rows.tolist(), operator, {name: (hi - np.size(o), hi, np.shape(o))
-                                     for (name, o), hi in zip(outs.items(), stops)}
-
-
-@functools.lru_cache(maxsize=128)
-def _sweep(outputs: tuple, d: int, dx: float):
-    """(offsets, operator, parts) for the named ``outputs`` alone.
-
-    The operator is the full one's rows of those outputs on the sweep rows
-    they read, with the columns of rows on one point summed in row order.
-    ``offsets`` holds those points, each placed where its first row is
-    read, so both are, bit for bit, those of a sweep over only the rows
-    read.  Both arrays are cached and read-only.
-    """
-    rows, full, parts = _operator(d, dx)
-    picked = [parts[name] for name in outputs]
-    by_row = np.vstack([full[lo:hi] for lo, hi, _ in picked]).reshape(-1, len(rows), d)
+    by_row = np.column_stack(cols).reshape(-1, len(rows), d)
     blocks: dict = {}
     for k in np.flatnonzero(by_row.any(axis=(0, 2))):  # the rows read
-        block = blocks.setdefault(tuple(rows[k]), np.zeros((by_row.shape[0], d)))
+        block = blocks.setdefault(tuple(rows[k].tolist()), np.zeros((by_row.shape[0], d)))
         block += by_row[:, k]
     offs = np.array(list(blocks)).reshape(-1, d)
     operator = np.hstack(list(blocks.values()))
     offs.flags.writeable = operator.flags.writeable = False
-    stops = np.cumsum([hi - lo for lo, hi, _ in picked]).tolist()
-    return offs, operator, tuple(zip([0] + stops[:-1], stops,
-                                     [shape for _, _, shape in picked]))
+    stops = np.cumsum([np.size(o) for o in outs]).tolist()
+    return offs, operator, tuple(zip([0] + stops[:-1], stops, [np.shape(o) for o in outs]))
 
 
 def _derivatives(outputs: tuple, score, xs, t, dx: float) -> list:

@@ -16,14 +16,16 @@ passes ``threads`` > 1 must therefore guard its entry point with
 (a score, say) must be picklable by reference: defined at the top level
 of an importable module or of the script file, not in an interactive
 session or ``python -c``.
+
+The process pool is imported at the first parallel call, as
+``wasserstein`` imports scipy's solver: a serial run never loads
+``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 # BLAS libraries read these as they load
 _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -51,6 +53,9 @@ def map_jobs(fn, jobs, threads: int) -> list:
     with one BLAS thread each when ``threads`` > 1."""
     if threads <= 1:
         return [fn(job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with _one_blas_thread_each(), ProcessPoolExecutor(
             max_workers=threads, mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, jobs, chunksize=1))

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from wkb_lab.error_est import local_err_model_from_derivs
-from wkb_lab.likelihood import logq_pf, logq_pf_batch, prior_grad
+from wkb_lab.likelihood import (local_err_model_from_derivs, logq_pf, logq_pf_batch,
+                                prior_grad)
 from wkb_lab.ode import OdeProblem, solve_adaptive
 from wkb_lab.stencil import (gradient, laplacian, score_batch, score_div_derivatives,
                              score_jacobian, star)

@@ -3,10 +3,11 @@ import pytest
 
 from conftest import ORACLE_T_MIN, oracle_model
 import wkb_lab.likelihood as likelihood
-from wkb_lab.error_est import local_err_model_from_derivs, local_err_subtraction_from_values
 from wkb_lab.errors import NonFinite
 from wkb_lab.likelihood import (FdStencil, _characteristic, _error_bar, _error_bar_rhs,
-                                nll_dataset, nll_first_order)
+                                local_err_model_from_derivs,
+                                local_err_subtraction_from_values, nll_dataset,
+                                nll_first_order)
 from wkb_lab.ode import OdeProblem, solve_adaptive
 from wkb_lab.stencil import score_div_derivatives
 

@@ -2,6 +2,8 @@
 scipy's solvers, which add about 50 MB and most of the package's import
 time.  ``wasserstein`` and ``gaussian_oracle`` import them on first use, and
 the lazily loaded solvers must return what the eagerly loaded ones do.
+Nor may importing the package load the process pool, which only a
+parallel run needs.
 
 Training must load exactly the package modules whose sources key the cached
 trained models (``conftest._TRAIN_SOURCES``): a module it loads beyond them
@@ -25,6 +27,15 @@ A = [[0.0, 0.0], [1.0, 0.5], [-0.3, 2.0]]
 B = [[0.9, 0.1], [0.1, 1.8], [-0.2, 0.4]]
 MODEL = {"beta": 1.0, "v0": 2.0, "epsilon": 0.3}
 
+
+def _probe(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this tree."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 PROBE = f"""
 import sys
 import wkb_lab, wkb_lab.cli
@@ -39,11 +50,7 @@ print(loaded())
 
 
 def test_scipy_solvers_load_at_first_use_only():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
-                         text=True, check=True)
-    at_import, w2, after_w2, residual, after_quad = run.stdout.splitlines()
+    at_import, w2, after_w2, residual, after_quad = _probe(PROBE).splitlines()
     assert at_import == "[]"
     assert after_w2 == "['scipy.optimize']"
     assert after_quad == "['scipy.optimize', 'scipy.integrate']"
@@ -55,6 +62,21 @@ def test_scipy_solvers_load_at_first_use_only():
     assert float(residual) == GaussianModel(**MODEL).verify_flow_identity(0.5)
 
 
+POOL_PROBE = """
+import sys
+import wkb_lab, wkb_lab.cli
+from wkb_lab import (gaussian_oracle, likelihood, pathaction, sampler, stencil, train,
+                     verify, wasserstein, workers)
+print([m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules])
+"""
+
+
+def test_process_pool_loads_at_first_parallel_use_only():
+    # a serial run never starts a worker, so importing the package must not
+    # load the process pool (``workers.map_jobs`` imports it for threads > 1)
+    assert _probe(POOL_PROBE).strip() == "[]"
+
+
 TRAIN_PROBE = """
 import sys
 import wkb_lab.train
@@ -63,12 +85,8 @@ print(sorted(m for m in sys.modules if m == "wkb_lab" or m.startswith("wkb_lab."
 
 
 def test_training_loads_exactly_the_sources_that_key_the_zoo():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", TRAIN_PROBE], env=env, capture_output=True,
-                         text=True, check=True)
     want = ["wkb_lab"] + [f"wkb_lab.{name.removesuffix('.py')}" for name in _TRAIN_SOURCES]
-    assert ast.literal_eval(run.stdout) == sorted(want)
+    assert ast.literal_eval(_probe(TRAIN_PROBE)) == sorted(want)
 
 
 _GENERATOR_FACTORIES = {"SeedSequence", "PCG64", "Generator", "default_rng"}
@@ -104,17 +122,20 @@ def test_data_stream_is_the_only_generator_factory():
 
 
 def _shim_block(source: str) -> set[str]:
-    """Names imported under the comment that names ``perfbench/tracing.py``:
-    the comment lines, then the import lines up to the next blank line."""
+    """Names imported or defined under the comment that names
+    ``perfbench/tracing.py``: the comment lines, then the imports and
+    top-level functions up to the next ``# --`` section comment."""
     lines = source.splitlines()
     start = next(i for i, line in enumerate(lines)
                  if line.startswith("#") and "perfbench/tracing.py" in line)
     while lines[start].startswith("#"):
         start += 1
-    end = lines.index("", start)
+    end = next(i for i in range(start, len(lines)) if lines[i].startswith("# --"))
     block = ast.parse("\n".join(lines[start:end]))
-    assert all(isinstance(node, ast.ImportFrom) for node in block.body)
-    return {alias.name for node in block.body for alias in node.names}
+    assert all(isinstance(node, (ast.ImportFrom, ast.FunctionDef)) for node in block.body)
+    return {alias.name for node in block.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names} | {node.name for node in block.body
+                                       if isinstance(node, ast.FunctionDef)}
 
 
 def test_every_traced_likelihood_name_is_called_or_a_named_shim():
