@@ -171,15 +171,16 @@ def _sweep(outputs: tuple, d: int, dx: float):
     centers = np.vstack([star(zero, dx), diagonal_points(zero, dx)])
     n, na = centers.shape[0], 1 + 2 * d
 
-    def assemble(vals):
+    def assemble(vals):  # builds the requested outputs only
         s_c = vals[:n]
         divs = divergence(vals[n:].reshape(n, 2 * d, d), dx)
-        every = {"s": s_c[0], "div": divs[0], "jac": jacobian(s_c[1:na], dx),
-                 "hess": hessian(s_c[0], s_c[1:na].T, s_c[na:].T, dx),
-                 "grad_div": gradient(divs[1:na], dx),
-                 "lap_div": laplacian(divs[0], divs[1:na], dx),
-                 "hess_div": hessian(divs[0], divs[1:na], divs[na:], dx)}
-        return [every[name] for name in outputs]
+        build = {"s": lambda: s_c[0], "div": lambda: divs[0],
+                 "jac": lambda: jacobian(s_c[1:na], dx),
+                 "hess": lambda: hessian(s_c[0], s_c[1:na].T, s_c[na:].T, dx),
+                 "grad_div": lambda: gradient(divs[1:na], dx),
+                 "lap_div": lambda: laplacian(divs[0], divs[1:na], dx),
+                 "hess_div": lambda: hessian(divs[0], divs[1:na], divs[na:], dx)}
+        return [build[name]() for name in outputs]
 
     rows = np.vstack([centers, points(centers, dx).reshape(-1, d)])
     unit, cols = np.zeros(rows.shape), []

@@ -202,12 +202,17 @@ def _oracle(epsilon):
             (score, lambda x, t: score(x, t)))
 
 
+# the zeroth-order check and the bar's coverage check take these draws,
+# scaled to the eps = 0.3 model's spread at t_min
+LOGQ0_DRAWS = data.stream(301).standard_normal((20, 2))
+
+
 def logq0_vs_closed_form():
     """The zeroth-order log-likelihood against the closed form at eps = 0.3,
     20 points."""
     model, schedule, paths = _oracle(0.3)
     t = schedule.t_min
-    xs = data.stream(301).standard_normal((20, 2)) * np.sqrt(model.vprime_t(0.0, t))
+    xs = LOGQ0_DRAWS * np.sqrt(model.vprime_t(0.0, t))
     return max(abs(logq_pf(s, schedule, x, t, tol=1e-5) - model.logq0(x, h=0.0, t=t))
                for x in xs for s in paths), 1e-3
 
@@ -240,13 +245,29 @@ def first_order_zero_at_exact_score():
                for x in _FIRST_ORDER_DRAWS[10:] * np.sqrt(model.v0) for s in paths), 1e-4
 
 
+def err_bound_covers_first_order():
+    """The first-order coefficient's error over its err_bound at the ``nll``
+    defaults (dx 0.01, tol 1e-3/1e-5), eps = 0.3, the 20 points of
+    ``logq0_vs_closed_form``: below 1 wherever the bar covers the error."""
+    model, schedule, paths = _oracle(0.3)
+    t, worst = schedule.t_min, 0.0
+    for x in LOGQ0_DRAWS * np.sqrt(model.vprime_t(0.0, t)):
+        exact = model.dlogq0_dh_at0(x, t=t)
+        for s in paths:
+            rep = nll_first_order(s, schedule, x, FdStencil(0.01),
+                                  tol_outer=1e-3, tol_inner=1e-5)
+            worst = max(worst, abs(rep.correction1 - exact) / rep.err_bound)
+    return worst, 1.0
+
+
 CHECKS = {check.__name__: check for check in (
     flow_identity_residual_grid_max, vprime_closed_form_vs_ode, one_step_action_identity,
     stencil_quadratic_exactness, w2_exact_vs_bruteforce, variance_preserving_identity,
     g2_equals_minus_2a, gaussian_nll_monotone, gaussian_w2_monotone, gaussian_flat_at_eps0,
     stationary_logq_equals_prior, sampler_determinism, sampler_single_precision_gap,
     swiss_roll_pooled_std, grid_mixture_pooled_std, ode_reversibility,
-    logq0_vs_closed_form, first_order_vs_closed_form, first_order_zero_at_exact_score)}
+    logq0_vs_closed_form, first_order_vs_closed_form, first_order_zero_at_exact_score,
+    err_bound_covers_first_order)}
 
 
 def run_verification(stream) -> list[str]:

@@ -5,7 +5,9 @@ The tableau, the step loop, the error norm and the continuous extension are
 kept here unchanged, so the tests can check that the package's
 ``solve_adaptive`` and ``DenseOutput`` reproduce them bit for bit: the same
 final state, step count, dense knots, interpolation coefficients and
-interpolated values.
+interpolated values.  The one addition is the per-component sum of
+|embedded error estimate| over accepted steps, summed in this loop, which
+the package's ``OdeSolution.err_sum`` must reproduce.
 """
 
 import numpy as np
@@ -122,7 +124,7 @@ def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSoluti
     y = problem.y0.copy()
     span = abs(t1 - t0)
     if span == 0.0:
-        return OdeSolution(t_final=t1, y_final=y, n_steps=0)
+        return OdeSolution(t_final=t1, y_final=y, n_steps=0, err_sum=np.zeros(y.size))
     direction = 1.0 if t1 > t0 else -1.0
 
     rhs = problem.rhs
@@ -135,6 +137,7 @@ def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSoluti
     steps: list[tuple[float, float, np.ndarray, np.ndarray]] = []
 
     k = np.empty((7, y.size))
+    err_sum = np.zeros(y.size)
     err_prev = 1e-4
     n_steps = 0
     while (t1 - t) * direction > 0.0:
@@ -162,6 +165,7 @@ def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSoluti
                 steps.append((t, hd, y, k.T @ _P))
             t = t1 if abs(t1 - (t + hd)) <= min_step else t + hd
             y = y_new
+            err_sum = err_sum + np.abs(err_vec)
             f = k[6].copy()  # FSAL; a copy, since a rejected next step rewrites k
             factor = _SAFETY * (err + 1e-16) ** (-_PI_ALPHA) * (err_prev + 1e-16) ** _PI_BETA
             err_prev = max(err, 1e-10)
@@ -171,4 +175,5 @@ def solve_adaptive(problem: OdeProblem, record_trace: bool = False) -> OdeSoluti
         n_steps += 1
 
     dense = DenseOutput(*zip(*steps)) if record_trace else None
-    return OdeSolution(t_final=t1, y_final=y, n_steps=n_steps, dense=dense)
+    return OdeSolution(t_final=t1, y_final=y, n_steps=n_steps, dense=dense,
+                       err_sum=err_sum)

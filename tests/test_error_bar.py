@@ -10,6 +10,7 @@ from wkb_lab.likelihood import (FdStencil, _characteristic, _error_bar, _error_b
                                 nll_first_order)
 from wkb_lab.ode import OdeProblem, solve_adaptive
 from wkb_lab.stencil import score_div_derivatives
+from wkb_lab.verify import LOGQ0_DRAWS
 
 
 def pipeline(eps: float):
@@ -69,6 +70,19 @@ def test_nan_local_error_fails_the_point(monkeypatch):
     calls.clear()
     summary = nll_dataset(score, sched, np.array([[0.1, -0.05], [0.2, 0.1]]))
     assert summary.n_failed == 1 and summary.reports[0] is None
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-5])
+def test_log_q0_error_estimate_covers_the_closed_form_error(tol):
+    # the bar's solver floor: the zeroth-order solve's own error estimate
+    # bounds its log q0 error, on the draws of verify's logq0_vs_closed_form
+    # and on both derivative paths
+    model, sched, score = pipeline(0.3)
+    t = sched.t_min
+    for x in LOGQ0_DRAWS * np.sqrt(model.vprime_t(0.0, t)):
+        for s in (score, lambda x, t: score(x, t)):
+            tight = _characteristic(s, sched, x, tol, 0.01)
+            assert tight.logq_err >= abs(tight.log_q0 - model.logq0(x, h=0.0, t=t))
 
 
 def test_zero_local_errors_give_zero_bound():

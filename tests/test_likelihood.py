@@ -382,12 +382,14 @@ def test_score_rows_per_right_hand_side_are_pinned(monkeypatch):
     monkeypatch.setattr(likelihood, "solve_adaptive", counting_solve)
     nll_first_order(score, sched, np.array([0.3, -0.2]), FdStencil(0.01),
                     tol_outer=1e-2, tol_inner=1e-3)
-    assert per_rhs == {"_pf_with_div_rhs": {(5,)},   # zeroth order, tight and loose
+    assert per_rhs == {"_pf_with_div_rhs": {(5,)},   # zeroth order
                        "_characteristic_rhs": {()},  # backward
                        "_error_bar_rhs": {()}}       # error bar
     assert set(per_hook) == {"_characteristic_rhs", "_error_bar_rhs"}
-    assert traced == {"_pf_with_div_rhs": {True, False}, "_characteristic_rhs": {False},
+    assert traced == {"_pf_with_div_rhs": {True}, "_characteristic_rhs": {False},
                       "_error_bar_rhs": {False}}  # one trace: the tight x(t)
+    # one solve per pass: the bar's floor comes from the zeroth-order solve
+    assert {name: len(n) for name, n in attempts.items()} == dict.fromkeys(per_rhs, 1)
     for name, per_time in (("_characteristic_rhs", 21), ("_error_bar_rhs", 13)):
         calls, (n_steps,) = per_hook[name], attempts[name]
         assert n_steps > 1 and len(calls) == 2 + n_steps
@@ -395,11 +397,13 @@ def test_score_rows_per_right_hand_side_are_pinned(monkeypatch):
         assert set(calls[2:]) == {(5, (5 * per_time,))}
     per_rhs.clear()
     per_hook.clear()
+    attempts.clear()
     rows.clear()
     nll_first_order(exact, sched, np.array([0.3, -0.2]), FdStencil(0.01),
                     tol_outer=1e-2, tol_inner=1e-3)
     assert per_rhs == {"_pf_with_div_rhs": {()}, "_characteristic_rhs": {()},
                        "_error_bar_rhs": {()}}
+    assert {name: len(n) for name, n in attempts.items()} == dict.fromkeys(per_rhs, 1)
     assert {made for calls in per_hook.values() for _, made in calls} == {()}
     assert rows == []
 

@@ -226,6 +226,7 @@ def test_solver_reproduces_the_reference_bit_for_bit(name, record_trace):
     got = solve_adaptive(problem, record_trace=record_trace)
     want = dopri5_reference.solve_adaptive(problem, record_trace=True)
     assert got.y_final.tobytes() == want.y_final.tobytes()
+    assert got.err_sum.tobytes() == want.err_sum.tobytes()
     assert got.n_steps == want.n_steps and got.t_final == want.t_final
     accepted = want.dense.t_start.size
     if name.startswith("pulse"):

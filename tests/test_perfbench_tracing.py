@@ -12,7 +12,7 @@ import wkb_lab.likelihood as likelihood
 import wkb_lab.sampler as sampler
 from conftest import ORACLE_T_MIN, oracle_model
 from wkb_lab.data import make_swiss_roll
-from wkb_lab.likelihood import FdStencil, nll_first_order
+from wkb_lab.likelihood import FdStencil, logq_pf, nll_first_order
 from wkb_lab.schedule import Schedule, ScheduleKind
 from wkb_lab.score import MlpScore
 from wkb_lab.train import TrainConfig, train
@@ -48,6 +48,8 @@ def test_traced_layers_are_on_the_call_path(tracing):
         with tracer.span(tracing.POINT):
             rep = nll_first_order(score, sched, np.array([0.1, -0.05]), FdStencil(0.05),
                                   tol_outer=1e-2, tol_inner=1e-3)
+        # the benchmark warm-up's zeroth-order solve: no point reaches LOGQ
+        logq_pf(score, sched, np.zeros(2), sched.t_min, 1e-3, FdStencil(0.05))
         train(TrainConfig(epochs=1, batch_size=64, seed=0), make_swiss_roll(128, seed=1),
               Schedule(kind=ScheduleKind.SIMPLE, beta=20.0, dim=2))
         x, _ = sampler.em_sweep(score, sched, 0.5,
